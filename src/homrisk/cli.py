@@ -132,16 +132,14 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     count = points.shape[0]
     print(f"points={count}")
     print(f"scale={_fmt(args.scale)}")
-    if count <= homology.DEFAULT_POINT_BUDGET:
-        profile = homology.betti(homology.rips(points, args.scale, args.max_dim))
-        for q, b in enumerate(profile.betti):
-            print(f"betti_{q}={b}")
+    budget = homology.DEFAULT_POINT_BUDGET
+    profile = homology._budgeted_profile(points, args.scale, args.max_dim, budget)
+    for q, b in enumerate(profile.betti):
+        print(f"betti_{q}={b}")
+    if len(profile.betti) > 1:
         print(f"euler_characteristic={profile.euler_characteristic}")
     else:
-        clusters = homology.betti0_linkage(points, args.scale).cluster_count
-        print(f"betti_0={clusters}")
-        print(f"# {count} points exceed the full-complex budget of "
-              f"{homology.DEFAULT_POINT_BUDGET}; higher degrees skipped")
+        print(f"# {count} points exceed the full-complex budget of {budget}; higher degrees skipped")
     return 0
 
 
@@ -218,7 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,9 @@ _MASK64 = (1 << 64) - 1
 # Generated points must satisfy |dist(point, center) - radius| below this.
 ON_SPHERE_TOL = 1e-9
 
+# Floats in one difference buffer of _sq_dist_blocks, every distance pass's memory cap.
+_BLOCK_FLOATS = 1 << 21
+
 
 def sphere_surface_measure(d: int) -> float:
     """Surface measure of the unit d-sphere (2*pi at d=1, 4*pi at d=2)."""
@@ -164,6 +167,14 @@ def build_pack(intrinsic_dim: int, ambient_dim: int, radius: float) -> SpherePac
     )
 
 
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (start, d2) over row blocks of a, d2[i, j] = |a[start+i] - b[j]|**2."""
+    rows = max(1, _BLOCK_FLOATS // max(1, b.shape[0] * b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        diffs = a[start : start + rows, None, :] - b[None, :, :]
+        yield start, np.einsum("ijk,ijk->ij", diffs, diffs)
+
+
 def validate_pack(pack: SpherePack) -> PackReport:
     """Report-only geometric checks: containment, separation, count bounds.
 
@@ -189,17 +200,9 @@ def validate_pack(pack: SpherePack) -> PackReport:
         )
     ]
     if pack.count >= 2:
-        # blockwise so packs with many spheres do not allocate an
-        # (m, m, D) array; every ordered pair is still covered
-        centers = pack.centers
-        m = centers.shape[0]
-        block = max(1, 2_000_000 // m)
         min_d2 = math.inf
-        for start in range(0, m, block):
-            chunk = centers[start : start + block]
-            diffs = chunk[:, None, :] - centers[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-            local = np.arange(chunk.shape[0])
+        for start, d2 in _sq_dist_blocks(pack.centers, pack.centers):
+            local = np.arange(d2.shape[0])
             d2[local, start + local] = np.inf
             min_d2 = min(min_d2, float(d2.min()))
         min_dist = math.sqrt(min_d2)
@@ -327,11 +330,12 @@ def assign_points(pack: SpherePack, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"points have {pts.shape[1]} coordinates, pack is in dimension {pack.ambient_dim}"
         )
-    diffs = pts[:, None, :] - pack.centers[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    nearest = np.argmin(d2, axis=1)
-    dist = np.sqrt(d2[np.arange(len(pts)), nearest])
-    surface_gap = np.abs(dist - pack.radius)
+    nearest = np.empty(len(pts), dtype=int)
+    nearest_d2 = np.empty(len(pts))
+    for start, d2 in _sq_dist_blocks(pts, pack.centers):
+        nearest[start : start + len(d2)] = np.argmin(d2, axis=1)
+        nearest_d2[start : start + len(d2)] = d2.min(axis=1)
+    surface_gap = np.abs(np.sqrt(nearest_d2) - pack.radius)
     bad = surface_gap > 0.5 * pack.radius
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -339,7 +343,7 @@ def assign_points(pack: SpherePack, points: np.ndarray) -> np.ndarray:
             f"point {i} sits {surface_gap[i]:.6g} from the nearest sphere surface, "
             f"beyond the radius/2 tolerance {0.5 * pack.radius:.6g}"
         )
-    return (nearest + 1).astype(int)
+    return nearest + 1
 
 
 def assign(pack: SpherePack, point) -> int:

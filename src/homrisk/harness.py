@@ -114,14 +114,10 @@ def _estimator_scale(config: TrialConfig, pack: SpherePack) -> float:
     return pack.radius if config.scale is None else float(config.scale)
 
 
-def _decide_from_empty_count(kind: str, m: int, n: int, k: int) -> int:
-    if kind == "lrt":
-        return 1 if lrt.likelihood_ratio_closed_form(m, n, k) > 1.0 else 0
-    return 1 if k >= 1 else 0
-
-
-def _side_frequency(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int) -> float:
-    """Fraction of trials on which the configured test rejects."""
+def _side_frequency(
+    config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int, k_reject: float
+) -> float:
+    """Fraction of trials on which the configured test rejects (count tests: k > k_reject)."""
     m = pack.count
     rejections = 0
     if config.test_kind in ("lrt", "occupancy"):
@@ -132,7 +128,7 @@ def _side_frequency(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesi
             seed = trial_seed(config.master_seed, t, stream)
             chosen = geometry.sample_assignments(pack, hypothesis, config.n, seed)
             k = m - int(np.unique(chosen).size)
-            rejections += _decide_from_empty_count(config.test_kind, m, config.n, k)
+            rejections += k > k_reject
     else:
         scale = _estimator_scale(config, pack)
         for t in range(config.trials):
@@ -152,19 +148,21 @@ def mc_risk(config: TrialConfig) -> RiskEstimate:
     type I) and the same number under the mixture (acceptances count
     toward type II).  Component standard errors combine in quadrature.
     Exact companions are attached for the likelihood-ratio test, where
-    the occupancy law gives them in closed form.
+    the occupancy law gives them in closed form; its trials reject on the
+    empty-count threshold the exact risk sums over.
     """
     pack = _build(config)
-    type1 = _side_frequency(config, pack, Hypothesis.null(), _NULL_STREAM)
-    type2 = 1.0 - _side_frequency(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM)
+    exact1: float | None = None
+    exact2: float | None = None
+    k_reject = 0.0  # the occupancy test rejects whenever a sphere is empty
+    if config.test_kind == "lrt":
+        report = lrt.exact_lrt_risk(pack.count, config.n)
+        exact1, exact2, k_reject = report.type_I, report.type_II, report.k_threshold
+    type1 = _side_frequency(config, pack, Hypothesis.null(), _NULL_STREAM, k_reject)
+    type2 = 1.0 - _side_frequency(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM, k_reject)
     stderr = math.sqrt(
         type1 * (1.0 - type1) / config.trials + type2 * (1.0 - type2) / config.trials
     )
-    exact1: float | None = None
-    exact2: float | None = None
-    if config.test_kind == "lrt":
-        report = lrt.exact_lrt_risk(pack.count, config.n)
-        exact1, exact2 = report.type_I, report.type_II
     return RiskEstimate(
         type_I_hat=type1,
         type_II_hat=type2,

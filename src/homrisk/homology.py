@@ -3,7 +3,8 @@
 The full route builds the scale-r neighborhood (clique) complex and reads
 Betti numbers off boundary ranks over the two-element field.  That blows
 up combinatorially, so it carries dimension and point budgets; the
-component count alone has a cheap union-find route with no budget.
+component count alone has a cheap route with no budget, vectorised
+hook-and-compress labelling over the same scale-graph edge list.
 """
 from __future__ import annotations
 
@@ -11,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SampleSet, SpherePack
+from .geometry import SampleSet, SpherePack, _sq_dist_blocks
 
 MAX_COMPLEX_DIM = 3
 DEFAULT_POINT_BUDGET = 2000
-
-_PAIR_BLOCK = 512  # row block for pair generation; caps the distance buffer
 
 
 @dataclass(frozen=True)
@@ -55,35 +54,6 @@ class ClusterEstimate:
     cluster_count: int
 
 
-class UnionFind:
-    """Array union-find with path compression and union by size."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.components = size
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
-
-
 def _as_point_array(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -91,6 +61,15 @@ def _as_point_array(points) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("points must form a 2-d array, one point per row")
     return pts
+
+
+def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
+    """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j)."""
+    pairs = [np.empty((2, 0), dtype=int)]
+    for start, d2 in _sq_dist_blocks(pts, pts):
+        rows, cols = np.nonzero(np.triu(d2 <= scale * scale, start + 1))
+        pairs.append(np.stack([rows + start, cols]))
+    return np.concatenate(pairs, axis=1)
 
 
 def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_BUDGET) -> SimplicialComplex:
@@ -117,14 +96,11 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     n = pts.shape[0]
     if n > max_points:
         raise ValueError(f"{n} points exceed the complex budget of {max_points}")
-    if n:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        adj = np.einsum("ijk,ijk->ij", diffs, diffs) <= scale * scale
-        np.fill_diagonal(adj, False)
-    else:
-        adj = np.zeros((0, 0), dtype=bool)
+    first, second = _scale_edges(pts, scale)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[first, second] = adj[second, first] = True
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
-    levels.append([(int(a), int(b)) for a, b in np.argwhere(np.triu(adj, 1))])
+    levels.append(list(zip(first.tolist(), second.tolist())))
     for q in range(2, int(max_dim) + 1):
         grown: list[tuple[int, ...]] = []
         for simplex in levels[q - 1]:
@@ -195,8 +171,10 @@ def betti(complex_: SimplicialComplex) -> BettiProfile:
 def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     """Component count of the graph with edges at distance <= threshold.
 
-    Union-find over the edge list, generated in row blocks so memory stays
-    bounded; no point budget.
+    Vectorised hook-and-compress (Shiloach and Vishkin) over the edge list:
+    each round hooks every root onto the smallest lower root it shares an edge
+    with, then pointer-jumps to stars, until no edge joins two roots.
+    Distances run in bounded blocks, so memory is the edge list; no point budget.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
@@ -204,17 +182,29 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("no points to cluster")
-    uf = UnionFind(n)
-    t2 = threshold * threshold
-    for start in range(0, n, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, n)
-        diffs = pts[start:stop, None, :] - pts[None, start:, :]
-        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        rows, cols = np.nonzero(d2 <= t2)
-        keep = cols > rows  # both offset by start, so this is global j > i
-        for i, j in zip(rows[keep] + start, cols[keep] + start):
-            uf.union(int(i), int(j))
-    return ClusterEstimate(threshold=float(threshold), cluster_count=uf.components)
+    first, second = _scale_edges(pts, threshold)
+    parent = np.arange(n)
+    while True:
+        root_a, root_b = parent[first], parent[second]
+        joins = root_a != root_b
+        if not joins.any():
+            break
+        first, second = first[joins], second[joins]
+        # parent[v] <= v throughout, so hooking never closes a cycle
+        np.minimum.at(parent, np.maximum(root_a, root_b)[joins], np.minimum(root_a, root_b)[joins])
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+    roots = int(np.count_nonzero(parent == np.arange(n)))
+    return ClusterEstimate(threshold=float(threshold), cluster_count=roots)
+
+
+def _budgeted_profile(points, scale: float, max_dim: int, point_budget: int) -> BettiProfile:
+    """Full complex profile within the point budget, else the one-entry beta_0 collapse."""
+    pts = _as_point_array(points)
+    if pts.shape[0] <= point_budget:
+        return betti(rips(pts, scale, int(max_dim), max_points=point_budget))
+    clusters = betti0_linkage(pts, scale).cluster_count
+    return BettiProfile(betti=(clusters,), euler_characteristic=clusters)
 
 
 def homology_estimator(
@@ -240,8 +230,5 @@ def homology_estimator(
         )
     if samples.n == 0:
         raise ValueError("cannot estimate homology from an empty sample")
-    if samples.n <= point_budget:
-        dim = min(pack.intrinsic_dim + 1, MAX_COMPLEX_DIM) if max_dim is None else int(max_dim)
-        return betti(rips(samples.points, scale, dim, max_points=point_budget))
-    clusters = betti0_linkage(samples.points, scale).cluster_count
-    return BettiProfile(betti=(clusters,), euler_characteristic=clusters)
+    dim = min(pack.intrinsic_dim + 1, MAX_COMPLEX_DIM) if max_dim is None else max_dim
+    return _budgeted_profile(samples.points, scale, dim, point_budget)

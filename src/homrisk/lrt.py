@@ -58,13 +58,19 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _k_threshold(m: int, n: int) -> float:
+    """Empty count above which the ratio test rejects: m(1-1/m)^n."""
+    return m * (1.0 - 1.0 / m) ** n
+
+
 def likelihood_ratio(pack: SpherePack, samples: SampleSet) -> LikelihoodReport:
     """Evaluate the deleted-sphere mixture against the full pack on one sample.
 
     The null density is 1/(m * area) per point; the mixture averages the
     m single-deletion densities, and a deletion contributes only when its
     sphere received no points.  With k empty spheres the ratio is
-    (k/m) * (m/(m-1))^n.  Ties (ratio exactly 1) accept.
+    (k/m) * (m/(m-1))^n.  Ties (ratio exactly 1) accept: the decision
+    is k > m(1-1/m)^n, as in exact_lrt_risk, not the rounded ratio.
 
     Args:
         pack: the sphere pack, needing at least two spheres.
@@ -94,7 +100,7 @@ def likelihood_ratio(pack: SpherePack, samples: SampleSet) -> LikelihoodReport:
         log_L1=log_l1,
         ratio_L=ratio,
         empty_count=k,
-        decision=1 if ratio > 1.0 else 0,
+        decision=1 if k > _k_threshold(m, n) else 0,
     )
 
 
@@ -137,7 +143,7 @@ def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
         raise ValueError("the deletion mixture needs at least two spheres")
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    k_threshold = m * (1.0 - 1.0 / m) ** n
+    k_threshold = _k_threshold(m, n)
     null_law = empty_count_distribution(m, n)
     ks = np.arange(m + 1)
     type_i = float(null_law.probs[ks > k_threshold].sum())

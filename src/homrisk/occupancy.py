@@ -6,8 +6,11 @@ Small problems run in exact integer arithmetic: each term is an integer
 over m**n, the signed sum is again an integer, and every probability is
 one correctly rounded float division.  From the collection threshold
 n >= m log m up, the series terms fall off like a Poisson tail of rate
-at most one and a log-magnitude route with compensated summation keeps
-full precision.  Everything else (n below m log m at large m, where
+at most one, so a log-magnitude route with compensated summation loses
+at most a digit to cancellation; against a 60-digit reference its
+P(K = 0) is still off by 3.8e-12 at (m, n) = (1000, 6908) and 5.7e-11
+at (10000, 92104), most likely from lgamma log-factorials of magnitude
+about m log m.  Everything else (n below m log m at large m, where
 cancellation exceeds float precision) runs a one-throw-at-a-time
 recurrence on the occupied-bin count, which has only positive
 coefficients and so cannot cancel at all.
@@ -32,13 +35,14 @@ def _use_exact(m: int, n: int) -> bool:
 
 
 def _series_is_tame(m: int, n: int) -> bool:
-    """True when the log route keeps full precision across the whole law.
+    """True when cancellation in the log route stays within one digit.
 
     Past the first few indices the series terms decay like a Poisson
     tail of rate lam = m(1-1/m)^n, and cancellation inflates the summed
     rounding error by about e^(2 lam); lam <= 1 keeps that inflation
     within one decimal digit.  Every other empty count has a smaller
-    rate, so checking the leading one covers the full law.
+    rate, so checking the leading one covers the full law.  The error
+    left grows with m instead (module docstring: 5.7e-11 at m = 10000).
     """
     return math.log(m) + n * math.log1p(-1.0 / m) <= 0.0
 

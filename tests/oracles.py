@@ -7,6 +7,7 @@ logic with it.
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 
@@ -115,6 +116,31 @@ def boundary_matrix(faces, simplices):
             face = simplex[:drop] + simplex[drop + 1:]
             mat[index[face]][j] = 1
     return mat
+
+
+def component_count(points, scale):
+    """Components of the graph linking points at distance <= scale.
+
+    Squared distances by an explicit coordinate sum, compared with
+    scale**2, then breadth-first search from each unvisited point.
+    """
+    pts = [[float(x) for x in p] for p in points]
+    s2 = scale * scale
+    seen = [False] * len(pts)
+    count = 0
+    for origin in range(len(pts)):
+        if seen[origin]:
+            continue
+        count += 1
+        seen[origin] = True
+        queue = deque([origin])
+        while queue:
+            u = queue.popleft()
+            for v in range(len(pts)):
+                if not seen[v] and sum((a - b) ** 2 for a, b in zip(pts[u], pts[v])) <= s2:
+                    seen[v] = True
+                    queue.append(v)
+    return count
 
 
 def circle_component_law(k, a):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from homrisk import CSV_HEADER, save_points
+from homrisk import CSV_HEADER, cli, geometry, save_points
 
 
 def run_cli(*args):
@@ -51,6 +51,17 @@ def test_pack_rejects_bad_dimensions():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_memory_error_is_reported_not_raised(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("cannot allocate the centre array")
+
+    monkeypatch.setattr(geometry, "build_pack", exhausted)
+    assert cli.main(["pack", "--d", "3", "--D", "4", "--tau", "1e-4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot allocate the centre array\n"
 
 
 def test_coupon_exact():

@@ -65,6 +65,18 @@ def test_mc_risk_no_draws_accepts_everything():
     assert est.exact_type_II == 1.0
 
 
+def test_mc_risk_lrt_ties_follow_the_exact_rule():
+    # m = 14, n = 1: every draw leaves 13 spheres empty, a ratio of exactly
+    # 1 whose float closed form rounds above 1; trials and exact risk must
+    # both accept it
+    config = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=1 / 56, n=1, trials=20, master_seed=3)
+    est = mc_risk(config)
+    assert est.exact_type_I == 0.0
+    assert est.exact_type_II == 1.0
+    assert est.type_I_hat == est.exact_type_I
+    assert est.type_II_hat == est.exact_type_II
+
+
 def test_mc_risk_lrt_tracks_exact_values():
     config = TrialConfig(**M64, n=311, trials=3000, master_seed=11, test_kind="lrt")
     est = mc_risk(config)

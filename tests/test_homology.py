@@ -138,6 +138,7 @@ def test_component_count_agreement_rips_vs_linkage():
         from_rips = betti(rips(pts, scale, max_dim=1)).betti[0]
         from_linkage = betti0_linkage(pts, scale).cluster_count
         assert from_rips == from_linkage
+        assert from_linkage == oracles.component_count(pts, scale)
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,6 +183,31 @@ def test_linkage_blocking_consistent_on_larger_set():
     from_linkage = betti0_linkage(pts, scale).cluster_count
     from_rips = betti(rips(pts, scale, max_dim=1)).betti[0]
     assert from_linkage == from_rips
+    assert from_linkage == oracles.component_count(pts, scale)
+
+
+def test_linkage_labels_shuffled_line_and_edge_cases():
+    # a unit-spaced chain under a shuffled numbering is the slow case for
+    # label propagation: labels must travel the whole chain
+    rng = np.random.default_rng(29)
+    for length in (2, 3, 17, 300):
+        order = rng.permutation(length)
+        line = np.zeros((length, 2))
+        line[order, 0] = np.arange(length, dtype=float)
+        assert betti0_linkage(line, 1.0).cluster_count == 1
+        assert betti0_linkage(line, 0.5).cluster_count == length
+        # cut the chain into pieces at every fifth gap, plus isolated points
+        cut = line.copy()
+        cut[:, 0] += np.floor(cut[:, 0] / 5.0) * 10.0
+        far = np.column_stack([np.arange(4) * 100.0 + 7.5, np.full(4, 1000.0)])
+        cloud = np.vstack([cut, far])[rng.permutation(length + 4)]
+        want = oracles.component_count(cloud, 1.0)
+        assert want == -(-length // 5) + 4
+        assert betti0_linkage(cloud, 1.0).cluster_count == want
+    assert betti0_linkage(np.array([[0.25, -3.0]]), 1.0).cluster_count == 1
+    pair = np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]])  # exactly 5 apart
+    assert betti0_linkage(pair, 5.0).cluster_count == oracles.component_count(pair, 5.0) == 1
+    assert betti0_linkage(pair, 4.999).cluster_count == oracles.component_count(pair, 4.999) == 2
 
 
 def test_pack_sample_clusters_recover_sphere_count():
