@@ -8,7 +8,6 @@ layout.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,9 +17,6 @@ _MASK64 = (1 << 64) - 1
 
 # Generated points must satisfy |dist(point, center) - radius| below this.
 ON_SPHERE_TOL = 1e-9
-
-# Floats in one difference buffer of _sq_dist_blocks, every distance pass's memory cap.
-_BLOCK_FLOATS = 1 << 21
 
 
 def sphere_surface_measure(d: int) -> float:
@@ -77,7 +73,11 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class SpherePack:
-    """A grid of disjoint d-spheres of common radius inside [0,1]^D."""
+    """A grid of disjoint d-spheres of common radius inside [0,1]^D.
+
+    The centers are the row-major product of grid_size strictly ascending
+    coordinates on each of the first d axes, later coordinates shared.
+    """
 
     intrinsic_dim: int
     ambient_dim: int
@@ -86,6 +86,26 @@ class SpherePack:
     count: int
     centers: np.ndarray  # shape (count, ambient_dim), read-only
     total_volume: float
+
+    def __post_init__(self) -> None:
+        d, g = self.intrinsic_dim, self.grid_size
+        if not (
+            self.count == g**d
+            and self.centers.shape == (self.count, self.ambient_dim)
+            and np.all(np.diff(axes := _axes(self), axis=1) > 0.0)
+            and np.array_equal(self.centers[:, :d], np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d))
+            and np.all(self.centers[:, d:] == self.centers[:1, d:])
+        ):
+            raise ValueError(
+                f"pack centers must be the {g}**{d} rows of a row-major grid of strictly ascending "
+                f"axis coordinates with later coordinates shared; got count {self.count}, shape {self.centers.shape}"
+            )
+
+
+def _axes(pack: SpherePack) -> np.ndarray:
+    """(d, g) grid coordinates; axis i steps every g**(d-1-i) rows of the centers."""
+    d, g = pack.intrinsic_dim, pack.grid_size
+    return np.array([pack.centers[: g ** (d - i) : g ** (d - 1 - i), i] for i in range(d)]).reshape(d, g)
 
 
 @dataclass(frozen=True)
@@ -150,10 +170,8 @@ def build_pack(intrinsic_dim: int, ambient_dim: int, radius: float) -> SpherePac
     g = int(math.floor((1.0 - 2.0 * r) / (4.0 * r))) + 1
     m = g**d
     centers = np.zeros((m, big_d))
-    for row, ks in enumerate(itertools.product(range(g), repeat=d)):
-        for axis, k in enumerate(ks):
-            centers[row, axis] = r + 4.0 * r * k
-        centers[row, d] = r
+    centers[:, :d] = r + 4.0 * r * np.indices((g,) * d).reshape(d, -1).T
+    centers[:, d] = r
     centers.flags.writeable = False
     total = m * sphere_surface_measure(d) * r**d
     return SpherePack(
@@ -167,17 +185,11 @@ def build_pack(intrinsic_dim: int, ambient_dim: int, radius: float) -> SpherePac
     )
 
 
-def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (start, d2) over row blocks of a, d2[i, j] = |a[start+i] - b[j]|**2."""
-    rows = max(1, _BLOCK_FLOATS // max(1, b.shape[0] * b.shape[1]))
-    for start in range(0, a.shape[0], rows):
-        diffs = a[start : start + rows, None, :] - b[None, :, :]
-        yield start, np.einsum("ijk,ijk->ij", diffs, diffs)
-
-
 def validate_pack(pack: SpherePack) -> PackReport:
     """Report-only geometric checks: containment, separation, count bounds.
 
+    In a grid the nearest centers differ along one axis only, so the
+    separation is the smallest gap between consecutive axis coordinates.
     The count upper bound uses ceil(1/(4r)) per axis; the raw 1/(4r) bound
     fails for radii where 1/(4r) has fractional part above one half, even
     though the pack itself is valid, so the rounded form is what a correct
@@ -199,15 +211,7 @@ def validate_pack(pack: SpherePack) -> PackReport:
             f"varying-coordinate range [{varying.min():.6g}, {varying.max():.6g}], radius {r:.6g}",
         )
     ]
-    if pack.count >= 2:
-        min_d2 = math.inf
-        for start, d2 in _sq_dist_blocks(pack.centers, pack.centers):
-            local = np.arange(d2.shape[0])
-            d2[local, start + local] = np.inf
-            min_d2 = min(min_d2, float(d2.min()))
-        min_dist = math.sqrt(min_d2)
-    else:
-        min_dist = math.inf
+    min_dist = float(np.diff(_axes(pack), axis=1).min()) if pack.grid_size >= 2 else math.inf
     checks.append(
         PackCheck(
             "separation",
@@ -227,8 +231,7 @@ def validate_pack(pack: SpherePack) -> PackReport:
     checks.append(
         PackCheck(
             "grid_structure",
-            pack.count == pack.grid_size**d
-            and bool(np.all(pack.centers[:, d] == r))
+            bool(np.all(pack.centers[:, d] == r))
             and bool(np.all(pack.centers[:, d + 1 :] == 0.0)),
             f"count {pack.count} = grid {pack.grid_size}**{d}, offset axis at radius, trailing axes zero",
         )
@@ -259,8 +262,6 @@ def _draw_spheres(
             raise ValueError(f"alternate index {hypothesis.index} outside 1..{m}")
         removed = int(hypothesis.index)
     elif hypothesis.kind == "mixture":
-        if m < 2:
-            raise ValueError("deleting a sphere requires at least two spheres")
         removed = int(rng.integers(1, m + 1))
     if removed is not None and m < 2:
         raise ValueError("deleting a sphere requires at least two spheres")
@@ -321,22 +322,22 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
 def assign_points(pack: SpherePack, points: np.ndarray) -> np.ndarray:
     """Nearest-center index (1-based) for each row of points.
 
-    Ties take the lowest index.  Rows farther than radius/2 from every
-    sphere surface are rejected, since they cannot have come from the
-    pack at any plausible noise level.
+    In a grid the nearest center is nearest on each axis, found among the
+    midpoints of consecutive coordinates in O(n*D); ties take the lowest
+    index.  Rows farther than radius/2 from every sphere surface, or with
+    a NaN, are rejected: no plausible noise level puts them on the pack.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != pack.ambient_dim:
         raise ValueError(
             f"points have {pts.shape[1]} coordinates, pack is in dimension {pack.ambient_dim}"
         )
-    nearest = np.empty(len(pts), dtype=int)
-    nearest_d2 = np.empty(len(pts))
-    for start, d2 in _sq_dist_blocks(pts, pack.centers):
-        nearest[start : start + len(d2)] = np.argmin(d2, axis=1)
-        nearest_d2[start : start + len(d2)] = d2.min(axis=1)
-    surface_gap = np.abs(np.sqrt(nearest_d2) - pack.radius)
-    bad = surface_gap > 0.5 * pack.radius
+    nearest = np.zeros(len(pts), dtype=int)
+    for i, axis in enumerate(_axes(pack)):
+        nearest = nearest * pack.grid_size + np.searchsorted(0.5 * (axis[:-1] + axis[1:]), pts[:, i])
+    diffs = pts - pack.centers[nearest]
+    surface_gap = np.abs(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) - pack.radius)
+    bad = ~(surface_gap <= 0.5 * pack.radius)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(

@@ -9,7 +9,7 @@ over anything larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -282,21 +282,4 @@ def emit_csv(rows: Sequence[SweepRow], path) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
-            fields = (
-                row.m,
-                row.n,
-                row.tau,
-                row.d,
-                row.D,
-                row.trials,
-                row.test_kind,
-                row.type1_hat,
-                row.type2_hat,
-                row.risk_hat,
-                row.stderr,
-                row.exact_type1,
-                row.exact_type2,
-                row.miss_prob,
-                row.rate_envelope,
-            )
-            fh.write(",".join(_field(f) for f in fields) + "\n")
+            fh.write(",".join(_field(f) for f in astuple(row)) + "\n")

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SampleSet, SpherePack, _sq_dist_blocks
+from .geometry import SampleSet, SpherePack
 
 MAX_COMPLEX_DIM = 3
 DEFAULT_POINT_BUDGET = 2000
+
+# Floats in one difference buffer of _sq_dist_blocks, every distance pass's memory cap.
+_BLOCK_FLOATS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,14 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (start, d2) over row blocks of a, d2[i, j] = |a[start+i] - b[j]|**2."""
+    rows = max(1, _BLOCK_FLOATS // max(1, b.shape[0] * b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        diffs = a[start : start + rows, None, :] - b[None, :, :]
+        yield start, np.einsum("ijk,ijk->ij", diffs, diffs)
+
+
 def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
     """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j)."""
     pairs = [np.empty((2, 0), dtype=int)]
@@ -90,7 +101,7 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     """
     if not 1 <= int(max_dim) <= MAX_COMPLEX_DIM:
         raise ValueError(f"max_dim must lie in 1..{MAX_COMPLEX_DIM}")
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError("scale must be positive")
     pts = _as_point_array(points)
     n = pts.shape[0]
@@ -176,7 +187,7 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     with, then pointer-jumps to stars, until no edge joins two roots.
     Distances run in bounded blocks, so memory is the edge list; no point budget.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     pts = _as_point_array(points)
     n = pts.shape[0]
@@ -200,6 +211,8 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
 
 def _budgeted_profile(points, scale: float, max_dim: int, point_budget: int) -> BettiProfile:
     """Full complex profile within the point budget, else the one-entry beta_0 collapse."""
+    if not 1 <= int(max_dim) <= MAX_COMPLEX_DIM:
+        raise ValueError(f"max_dim must lie in 1..{MAX_COMPLEX_DIM}")
     pts = _as_point_array(points)
     if pts.shape[0] <= point_budget:
         return betti(rips(pts, scale, int(max_dim), max_points=point_budget))

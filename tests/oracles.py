@@ -143,6 +143,31 @@ def component_count(points, scale):
     return count
 
 
+def nearest_centers(points, centers):
+    """Nearest center (0-based) and its squared distance, per point, by brute force.
+
+    Squared distances by an explicit coordinate sum to every center; a later
+    center wins only when strictly closer, so ties take the lowest index.
+    """
+    out = []
+    for p in points:
+        best, best_d2 = None, math.inf
+        for j, c in enumerate(centers):
+            d2 = sum((float(a) - float(b)) ** 2 for a, b in zip(p, c))
+            if d2 < best_d2:
+                best, best_d2 = j, d2
+        out.append((best, best_d2))
+    return out
+
+
+def min_center_distance(centers):
+    """Smallest distance over all pairs of centers; inf below two centers."""
+    d2 = math.inf
+    for i, j in itertools.combinations(range(len(centers)), 2):
+        d2 = min(d2, sum((float(a) - float(b)) ** 2 for a, b in zip(centers[i], centers[j])))
+    return math.sqrt(d2)
+
+
 def circle_component_law(k, a):
     """Exact law of the component count of k uniform points on one circle.
 

@@ -228,3 +228,21 @@ def test_homology_bad_scale(tmp_path):
     proc = run_cli("homology", "--input", str(path), "--scale", "-1", "--max-dim", "1")
     assert proc.returncode == 1
     assert "scale must be positive" in proc.stderr
+
+
+def test_homology_nan_scale(tmp_path):
+    path = tmp_path / "pts.csv"
+    save_points(path, np.zeros((3, 2)))
+    proc = run_cli("homology", "--input", str(path), "--scale", "nan", "--max-dim", "1")
+    assert proc.returncode == 1
+    assert "scale must be positive" in proc.stderr
+    assert "betti_0" not in proc.stdout
+
+
+def test_homology_bad_max_dim_above_point_budget(tmp_path):
+    path = tmp_path / "big.csv"
+    save_points(path, np.random.default_rng(0).random((2100, 2)))
+    proc = run_cli("homology", "--input", str(path), "--scale", "0.05", "--max-dim", "7")
+    assert proc.returncode == 1
+    assert "max_dim must lie in 1..3" in proc.stderr
+    assert "betti_0" not in proc.stdout

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from homrisk import (
     Hypothesis,
     SpherePack,
@@ -23,11 +24,11 @@ from homrisk import (
 )
 
 
-def hand_pack(d, big_d, radius, centers):
+def hand_pack(d, big_d, radius, centers, grid_size=None):
     centers = np.asarray(centers, dtype=float)
     m = len(centers)
     total = m * sphere_surface_measure(d) * radius**d
-    return SpherePack(d, big_d, radius, m, m, centers, total)
+    return SpherePack(d, big_d, radius, m if grid_size is None else grid_size, m, centers, total)
 
 
 def test_build_line_pack_in_plane():
@@ -224,6 +225,111 @@ def test_assign_tie_goes_to_lower_index():
     tau = 1 / 8
     pack = hand_pack(1, 2, tau, [[tau, tau], [3 * tau, tau]])
     assert assign(pack, [2 * tau, tau]) == 1
+
+
+def test_assign_rejects_nan_coordinates():
+    pack = build_pack(1, 2, 1 / 16)
+    with pytest.raises(ValueError):
+        assign(pack, [math.nan, 0.0625])
+    with pytest.raises(ValueError):
+        assign_points(pack, [[0.0625 + 1 / 16, 0.0625], [0.0625, math.nan]])
+
+
+def assert_assignment_matches_oracle(pack, points):
+    """Each point alone, then the accepted ones together, against brute force."""
+    accepted, expected = [], []
+    for p, (j, d2) in zip(points, oracles.nearest_centers(points, pack.centers.tolist())):
+        if abs(math.sqrt(d2) - pack.radius) <= 0.5 * pack.radius:
+            assert assign(pack, p) == j + 1
+            accepted.append(p)
+            expected.append(j + 1)
+        else:
+            with pytest.raises(ValueError):
+                assign(pack, p)
+    if accepted:
+        assert assign_points(pack, np.array(accepted)).tolist() == expected
+
+
+def assert_separation_matches_oracle(pack):
+    detail = {c.name: c.detail for c in validate_pack(pack).checks}["separation"]
+    nearest = oracles.min_center_distance(pack.centers.tolist())
+    assert detail.startswith(f"min center distance {nearest:.6g} against")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    extra=st.integers(min_value=2, max_value=3),
+    tau=st.floats(min_value=0.065, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grid_assignment_and_separation_match_brute_force(d, extra, tau, seed):
+    pack = build_pack(d, d + extra, tau)
+    rng = np.random.default_rng(seed)
+    drawn = sample(pack, Hypothesis.null(), 30, seed=seed).points
+    # noise up to 3/2 radius in every ambient direction: some rows stay
+    # within the radius/2 rejection edge, some cross it
+    noise = rng.standard_normal(drawn.shape)
+    noise *= 1.5 * tau * rng.random((len(drawn), 1)) / np.linalg.norm(noise, axis=1, keepdims=True)
+    # rows pushed past the first or last center along one axis
+    beyond = pack.centers[rng.integers(0, pack.count, size=12)].copy()
+    lo, hi = pack.centers[0], pack.centers[-1]
+    for row, axis, step in zip(beyond, rng.integers(0, d, size=12), rng.random(12)):
+        row[axis] = lo[axis] - 2 * tau * step if step < 0.5 else hi[axis] + 2 * tau * step
+    assert_assignment_matches_oracle(pack, np.concatenate([drawn, drawn + noise, beyond]))
+    assert_separation_matches_oracle(pack)
+
+
+def product_pack(d, big_d, tau, axis):
+    """Hand-built pack whose first d axes all take the given coordinates."""
+    g = len(axis)
+    centers = np.zeros((g**d, big_d))
+    centers[:, :d] = np.asarray(axis)[np.indices((g,) * d).reshape(d, -1).T]
+    centers[:, d] = tau
+    return hand_pack(d, big_d, tau, centers, grid_size=g)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_assignment_ties_on_touching_pack(d):
+    # two touching spheres per axis: coordinates in {tau, 2 tau, 3 tau} sit
+    # on a center or on a midplane, so every distance and tie is exact
+    tau = 1 / 8
+    pack = product_pack(d, d + 2, tau, [tau, 3 * tau])
+    points = np.zeros((3**d, d + 2))
+    points[:, :d] = tau * (1 + np.indices((3,) * d).reshape(d, -1).T)
+    points[:, d] = tau
+    assert_assignment_matches_oracle(pack, points)
+    tie = pack.centers[0].copy()
+    tie[: min(d, 2)] = 2 * tau  # equidistant from 2 or 4 centers, within the edge
+    assert assign(pack, tie) == 1
+    assert_separation_matches_oracle(pack)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_assignment_on_uneven_pack(d):
+    # gaps 4, 3.5 and 5 radii: the separation is the smallest, 3.5 radii
+    tau = 1 / 32
+    pack = product_pack(d, d + 2, tau, [tau, 5 * tau, 8.5 * tau, 13.5 * tau])
+    rng = np.random.default_rng(d)
+    drawn = sample(pack, Hypothesis.null(), 40, seed=d).points
+    assert_assignment_matches_oracle(pack, drawn + rng.uniform(-tau, tau, drawn.shape))
+    assert_separation_matches_oracle(pack)
+    assert not {c.name: c.passed for c in validate_pack(pack).checks}["separation"]
+
+
+def test_sphere_pack_rejects_non_grid_centers():
+    tau = 1 / 16
+    a, b = tau, 5 * tau
+    not_product = (2, 2, [[a, a, tau], [a, b, tau], [b, a, tau], [b, 3 * tau, tau]])
+    descending = (1, 2, [[b, tau], [a, tau]])
+    varying_offset = (1, 2, [[a, tau], [b, 2 * tau]])
+    for d, g, centers in (not_product, descending, varying_offset):
+        with pytest.raises(ValueError):
+            hand_pack(d, len(centers[0]), tau, centers, grid_size=g)
+    with pytest.raises(ValueError):  # count != grid_size**d
+        SpherePack(1, 2, tau, 2, 3, np.array([[a, tau], [b, tau], [9 * tau, tau]]), 1.0)
+    with pytest.raises(ValueError):  # count agrees, centers do not
+        SpherePack(1, 2, tau, 2, 2, np.array([[a, tau], [b, tau], [9 * tau, tau]]), 1.0)
 
 
 def test_null_sampling_is_uniform_over_spheres():

@@ -67,6 +67,14 @@ def test_rips_validation():
         rips(pts, scale=1.0, max_dim=2, max_points=2)
 
 
+def test_nan_scale_is_rejected():
+    pts = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="scale must be positive"):
+        rips(pts, scale=math.nan, max_dim=1)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        betti0_linkage(pts, math.nan)
+
+
 def test_rips_simplices_are_sorted_and_face_closed():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -290,6 +298,14 @@ def test_estimator_budget_path_collapses_to_components():
     assert profile.euler_characteristic == 4
     direct = betti0_linkage(drawn.points, pack.radius).cluster_count
     assert profile.betti[0] == direct
+
+
+def test_estimator_checks_max_dim_on_both_budget_paths():
+    pack = build_pack(1, 2, 1 / 16)
+    drawn = sample(pack, Hypothesis.null(), 300, seed=4)
+    for budget in (0, 2000):
+        with pytest.raises(ValueError, match="max_dim must lie in 1..3"):
+            homology_estimator(pack, drawn, scale=pack.radius, max_dim=4, point_budget=budget)
 
 
 def test_plugin_risk_oracle_against_composition_enumeration():
