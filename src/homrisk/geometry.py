@@ -18,6 +18,10 @@ _MASK64 = (1 << 64) - 1
 # Generated points must satisfy |dist(point, center) - radius| below this.
 ON_SPHERE_TOL = 1e-9
 
+# Most center coordinates build_pack allocates: 2**27 floats are 1 GiB, 16 times
+# the largest pack the tests build (128**3 spheres in 4 dimensions).
+_MAX_PACK_FLOATS = 1 << 27
+
 
 def sphere_surface_measure(d: int) -> float:
     """Surface measure of the unit d-sphere (2*pi at d=1, 4*pi at d=2)."""
@@ -155,8 +159,9 @@ def build_pack(intrinsic_dim: int, ambient_dim: int, radius: float) -> SpherePac
         The constructed SpherePack with m = g**d spheres.
 
     Raises:
-        ValueError: when the ambient dimension is too small or no sphere
-            of the requested radius fits in the cube.
+        ValueError: when the ambient dimension is too small, no sphere
+            of the requested radius fits in the cube, or the center array
+            would hold more than 2**27 coordinates.
     """
     d = int(intrinsic_dim)
     big_d = int(ambient_dim)
@@ -169,6 +174,8 @@ def build_pack(intrinsic_dim: int, ambient_dim: int, radius: float) -> SpherePac
         raise ValueError("radius must lie in (0, 1/2) so a sphere fits in the cube")
     g = int(math.floor((1.0 - 2.0 * r) / (4.0 * r))) + 1
     m = g**d
+    if m * big_d > _MAX_PACK_FLOATS:
+        raise ValueError(f"pack needs {m * big_d} center coordinates, above the limit of {_MAX_PACK_FLOATS}")
     centers = np.zeros((m, big_d))
     centers[:, :d] = r + 4.0 * r * np.indices((g,) * d).reshape(d, -1).T
     centers[:, d] = r

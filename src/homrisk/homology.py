@@ -17,7 +17,7 @@ from .geometry import SampleSet, SpherePack
 MAX_COMPLEX_DIM = 3
 DEFAULT_POINT_BUDGET = 2000
 
-# Floats in one difference buffer of _sq_dist_blocks, every distance pass's memory cap.
+# Floats in one difference buffer of _scale_edges, the distance pass's memory cap.
 _BLOCK_FLOATS = 1 << 21
 
 
@@ -66,20 +66,17 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (start, d2) over row blocks of a, d2[i, j] = |a[start+i] - b[j]|**2."""
-    rows = max(1, _BLOCK_FLOATS // max(1, b.shape[0] * b.shape[1]))
-    for start in range(0, a.shape[0], rows):
-        diffs = a[start : start + rows, None, :] - b[None, :, :]
-        yield start, np.einsum("ijk,ijk->ij", diffs, diffs)
-
-
 def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
-    """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j)."""
+    """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j).
+
+    Each row block meets only the rows from its own start on: the upper triangle.
+    """
+    rows = max(1, _BLOCK_FLOATS // max(1, pts.shape[0] * pts.shape[1]))
     pairs = [np.empty((2, 0), dtype=int)]
-    for start, d2 in _sq_dist_blocks(pts, pts):
-        rows, cols = np.nonzero(np.triu(d2 <= scale * scale, start + 1))
-        pairs.append(np.stack([rows + start, cols]))
+    for start in range(0, pts.shape[0], rows):
+        diffs = pts[start : start + rows, None, :] - pts[None, start:, :]
+        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+        pairs.append(np.stack(np.nonzero(np.triu(d2 <= scale * scale, 1))) + start)
     return np.concatenate(pairs, axis=1)
 
 

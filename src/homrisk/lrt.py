@@ -123,11 +123,7 @@ def t_mn(m: int, n: int) -> float:
     Once this exceeds 1/delta the test rejects whenever any sphere is
     empty, which pins the sample-size threshold of the whole problem.
     """
-    if m < 2:
-        raise ValueError("the deletion mixture needs at least two spheres")
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
-    return _exp_or_inf(-math.log(m) - n * math.log1p(-1.0 / m))
+    return likelihood_ratio_closed_form(m, n, 1)
 
 
 def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:

@@ -52,6 +52,22 @@ def empty_count_law_literal(m, n):
     return [Fraction(c, total) for c in counts]
 
 
+def empty_count_numerators(m, n):
+    """Assignments of n draws into m bins leaving exactly k empty, index k = 0..m.
+
+    Integer throw recurrence on the occupied count j: a draw either lands
+    in one of the j occupied bins or opens one of the m - j + 1 others,
+    s[j] <- j*s[j] + (m-j+1)*s[j-1].  Every term is a nonnegative
+    integer, so it shares nothing with the alternating inclusion-exclusion
+    sum of the package.
+    """
+    s = [1] + [0] * m
+    for _ in range(n):
+        s = [0] + [j * s[j] + (m - j + 1) * s[j - 1] for j in range(1, m + 1)]
+    assert sum(s) == m ** n, (m, n)
+    return s[::-1]
+
+
 def all_occupied_prob(m, n):
     return empty_count_law(m, n)[0]
 

@@ -53,6 +53,15 @@ def test_pack_rejects_bad_dimensions():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_pack_too_large_fails_fast():
+    # 2500**3 spheres: the size guard answers before any allocation
+    proc = run_cli("pack", "--d", "3", "--D", "4", "--tau", "0.0001")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "above the limit of" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_memory_error_is_reported_not_raised(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("cannot allocate the centre array")

@@ -13,6 +13,7 @@ from homrisk import (
     build_pack,
     density_floor,
     derive_seed,
+    geometry,
     load_points,
     sample,
     sample_assignments,
@@ -62,6 +63,17 @@ def test_build_rejects_bad_dimensions_and_radius():
         build_pack(1, 2, 0.0)
     with pytest.raises(ValueError):
         build_pack(1, 2, -0.1)
+
+
+def test_build_rejects_oversized_pack_before_allocating(monkeypatch):
+    # d = 3, tau = 1e-4: 2500**3 = 1.5625e10 spheres
+    with pytest.raises(ValueError, match=r"above the limit of 134217728"):
+        build_pack(3, 4, 1e-4)
+    # the limit counts center coordinates, m * D: m = 4 circles in the plane is 8
+    monkeypatch.setattr(geometry, "_MAX_PACK_FLOATS", 8)
+    assert build_pack(1, 2, 1 / 16).count == 4
+    with pytest.raises(ValueError, match=r"12 center coordinates, above the limit of 8"):
+        build_pack(1, 3, 1 / 16)
 
 
 def test_validate_pack_accepts_built_packs():

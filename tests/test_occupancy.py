@@ -37,6 +37,26 @@ def test_law_matches_exact_oracle_small():
             assert abs(prob_all_occupied(m, n) - float(ref[0])) <= 1e-12, (m, n)
 
 
+def _assert_law_is_exactly_rounded(m, n):
+    numer = oracles.empty_count_numerators(m, n)
+    denom = m**n
+    law = empty_count_distribution(m, n)
+    assert law.probs.tolist() == [c / denom for c in numer], (m, n)
+    assert prob_all_occupied(m, n) == numer[0] / denom, (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(64, 311), (63, 311), (256, 1500), (512, 400)])
+def test_exact_route_matches_integer_throw_recurrence(m, n):
+    # every probability on the exact route is the correctly rounded ratio
+    _assert_law_is_exactly_rounded(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=1, max_value=40), n=st.integers(min_value=0, max_value=150))
+def test_exact_route_matches_integer_throw_recurrence_small(m, n):
+    _assert_law_is_exactly_rounded(m, n)
+
+
 def test_all_occupied_frozen_values():
     assert prob_all_occupied(2, 2) == 0.5
     assert prob_all_occupied(3, 3) == float(Fraction(2, 9))
