@@ -63,6 +63,10 @@ def _as_point_array(points) -> np.ndarray:
         pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 1)
     if pts.ndim != 2:
         raise ValueError("points must form a 2-d array, one point per row")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"point {i} has a non-finite coordinate: {pts[i].tolist()}")
     return pts
 
 

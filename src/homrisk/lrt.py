@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import SampleSet, SpherePack, sphere_surface_measure
 from .homology import BettiProfile
 from .occupancy import empty_count_distribution, summarize
@@ -129,23 +127,21 @@ def t_mn(m: int, n: int) -> float:
 def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
     """Exact error probabilities of the ratio test at (m, n).
 
-    The test rejects when the empty count exceeds m(1-1/m)^n.  The false
-    rejection side reads off the m-bin occupancy law.  Under a deletion
+    The test rejects when the integer empty count exceeds t = m(1-1/m)^n,
+    so false rejection is the m-bin law above floor(t).  Under a deletion
     the draws land uniformly on the other m-1 spheres, so the empty count
     is 1 plus the (m-1)-bin empty count, and by symmetry every deletion
-    gives the same error; that is the false acceptance side.
+    gives the same error.  False acceptance is that law below floor(t);
+    it is built only when floor(t) > 0, the only case type II reads it.
     """
     if m < 2:
         raise ValueError("the deletion mixture needs at least two spheres")
     if n < 0:
         raise ValueError("sample size must be >= 0")
     k_threshold = _k_threshold(m, n)
-    null_law = empty_count_distribution(m, n)
-    ks = np.arange(m + 1)
-    type_i = float(null_law.probs[ks > k_threshold].sum())
-    alt_law = empty_count_distribution(m - 1, n)
-    kprime = np.arange(m)
-    type_ii = float(alt_law.probs[kprime + 1.0 <= k_threshold].sum())
+    cut = math.floor(k_threshold)
+    type_i = float(empty_count_distribution(m, n).probs[cut + 1 :].sum())
+    type_ii = float(empty_count_distribution(m - 1, n).probs[:cut].sum()) if cut else 0.0
     type_i = min(1.0, max(0.0, type_i))
     type_ii = min(1.0, max(0.0, type_ii))
     return ExactRiskReport(

@@ -248,6 +248,15 @@ def test_homology_nan_scale(tmp_path):
     assert "betti_0" not in proc.stdout
 
 
+def test_homology_rejects_non_finite_points(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("0,0\nnan,0\n0.05,inf\n", encoding="ascii")
+    proc = run_cli("homology", "--input", str(path), "--scale", "0.1", "--max-dim", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: point 1 has a non-finite coordinate")
+    assert "betti_0" not in proc.stdout
+
+
 def test_homology_bad_max_dim_above_point_budget(tmp_path):
     path = tmp_path / "big.csv"
     save_points(path, np.random.default_rng(0).random((2100, 2)))

@@ -19,6 +19,7 @@ from homrisk import (
     prob_all_occupied,
     sample,
     sample_complexity,
+    summarize,
     sweep_n,
     trial_seed,
 )
@@ -89,19 +90,25 @@ def test_mc_risk_lrt_tracks_exact_values():
 
 def test_index_path_matches_full_synthesis():
     # the bulk path skips point synthesis; decisions must match a manual
-    # loop that samples real points and evaluates the ratio report
-    config = TrialConfig(**M4, n=40, trials=300, master_seed=21, test_kind="lrt")
-    est = mc_risk(config)
-    pack = build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
-    for stream, hyp in ((0, Hypothesis.null()), (1, Hypothesis.mixture())):
-        rejections = 0
-        for t in range(config.trials):
-            drawn = sample(pack, hyp, config.n, trial_seed(config.master_seed, t, stream))
-            rejections += likelihood_ratio(pack, drawn).decision
-        if stream == 0:
-            assert est.type_I_hat == rejections / config.trials
-        else:
-            assert est.type_II_hat == 1.0 - rejections / config.trials
+    # loop that samples real points and evaluates each test on them
+    inputs = (
+        ("lrt", 40, lambda pack, drawn: likelihood_ratio(pack, drawn).decision),
+        # few draws leave the last sphere empty often, which a short bin count misses
+        ("occupancy", 6, lambda pack, drawn: int(summarize(pack, drawn).empty_count > 0)),
+    )
+    for test_kind, n, decide in inputs:
+        config = TrialConfig(**M4, n=n, trials=300, master_seed=21, test_kind=test_kind)
+        est = mc_risk(config)
+        pack = build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
+        for stream, hyp in ((0, Hypothesis.null()), (1, Hypothesis.mixture())):
+            rejections = 0
+            for t in range(config.trials):
+                drawn = sample(pack, hyp, config.n, trial_seed(config.master_seed, t, stream))
+                rejections += decide(pack, drawn)
+            if stream == 0:
+                assert est.type_I_hat == rejections / config.trials, test_kind
+            else:
+                assert est.type_II_hat == 1.0 - rejections / config.trials, test_kind
 
 
 def test_mc_risk_is_reproducible():

@@ -75,6 +75,15 @@ def test_nan_scale_is_rejected():
         betti0_linkage(pts, math.nan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_points_are_rejected(bad):
+    pts = [[0.0, 0.0], [bad, 0.0], [0.05, 0.0]]
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        rips(pts, 0.1, 1)
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        betti0_linkage(pts, 0.1)
+
+
 def test_rips_simplices_are_sorted_and_face_closed():
     rng = np.random.default_rng(7)
     for _ in range(25):

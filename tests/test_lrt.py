@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import homrisk.lrt
 import oracles
 from homrisk import (
     BettiProfile,
@@ -151,6 +152,44 @@ def test_exact_risk_matches_rational_oracle():
             type_one, type_two = oracles.ratio_test_risk(m, n)
             assert abs(report.type_I - float(type_one)) <= 1e-12, (m, n)
             assert abs(report.type_II - float(type_two)) <= 1e-12, (m, n)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (64, 311), (100, 200),    # exact route, threshold below and above 1
+        (600, 900), (600, 3900),  # throw recurrence and log series
+        (2, 0), (5, 0), (2, 1), (3, 1), (4, 1),  # integer thresholds
+    ],
+)
+def test_exact_risk_is_the_two_law_tails(m, n):
+    # type I sums the m-bin law over k > t, type II the (m-1)-bin law
+    # over k' + 1 <= t; both must match the masked sums bit for bit
+    t = m * (1.0 - 1.0 / m) ** n
+    null_law = empty_count_distribution(m, n)
+    alt_law = empty_count_distribution(m - 1, n)
+    type_one = min(1.0, max(0.0, float(null_law.probs[np.arange(m + 1) > t].sum())))
+    type_two = min(1.0, max(0.0, float(alt_law.probs[np.arange(m) + 1.0 <= t].sum())))
+    report = exact_lrt_risk(m, n)
+    assert report.k_threshold == t
+    assert report.type_I.hex() == type_one.hex(), (m, n)
+    assert report.type_II.hex() == type_two.hex(), (m, n)
+    assert report.total == type_one + type_two
+
+
+def test_exact_risk_skips_the_deletion_law_below_one(monkeypatch):
+    built = []
+
+    def counting(m, n):
+        built.append(m)
+        return empty_count_distribution(m, n)
+
+    monkeypatch.setattr(homrisk.lrt, "empty_count_distribution", counting)
+    exact_lrt_risk(64, 311)  # threshold 0.48: no k' + 1 <= t
+    assert built == [64]
+    built.clear()
+    exact_lrt_risk(100, 200)  # threshold 13.4: the deletion law is read
+    assert built == [100, 99]
 
 
 def test_exact_risk_at_collection_threshold():
