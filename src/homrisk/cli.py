@@ -129,11 +129,11 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     points = geometry.load_points(args.input)
+    budget = homology.DEFAULT_POINT_BUDGET
+    profile = homology._budgeted_profile(points, args.scale, args.max_dim, budget)
     count = points.shape[0]
     print(f"points={count}")
     print(f"scale={_fmt(args.scale)}")
-    budget = homology.DEFAULT_POINT_BUDGET
-    profile = homology._budgeted_profile(points, args.scale, args.max_dim, budget)
     for q, b in enumerate(profile.betti):
         print(f"betti_{q}={b}")
     if len(profile.betti) > 1:

@@ -4,7 +4,8 @@ The null space is a grid of m disjoint d-spheres of common radius packed
 into [0,1]^D with 4*radius spacing; each alternate deletes one sphere.
 Sampling runs on numpy's Philox counter generator keyed directly by the
 caller's seed, so draws are reproducible and independent of execution
-layout.
+layout.  Batch callers re-key one generator per stream and hash their
+stream seeds in vectorised blocks.
 """
 from __future__ import annotations
 
@@ -13,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+
+# SeedSequence's hash constants (numpy.random.bit_generator): a pool of four
+# 32-bit words, filled by hashmix under _INIT_A, read out under _INIT_B.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 # Generated points must satisfy |dist(point, center) - radius| below this.
 ON_SPHERE_TOL = 1e-9
@@ -270,13 +279,35 @@ def _draw_spheres(
         removed = int(hypothesis.index)
     elif hypothesis.kind == "mixture":
         removed = int(rng.integers(1, m + 1))
-    if removed is not None and m < 2:
+    if removed is None:
+        return rng.integers(0, m, size=n), None
+    if m < 2:
         raise ValueError("deleting a sphere requires at least two spheres")
-    allowed = np.arange(m)
-    if removed is not None:
-        allowed = np.delete(allowed, removed - 1)
-    spheres = allowed[rng.integers(0, len(allowed), size=n)]
-    return spheres, removed
+    # Index c of the m - 1 kept spheres names sphere c below the removed one
+    # and c + 1 from it on: np.delete(np.arange(m), removed - 1)[c].
+    chosen = rng.integers(0, m - 1, size=n)
+    return chosen + (chosen >= removed - 1), removed
+
+
+def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """A new generator on the Philox stream keyed by seed, or rng re-keyed to it.
+
+    Counter 0, key [seed mod 2**64, 0] and an empty buffer are the state a
+    fresh Philox(key=seed) starts in, so a re-keyed generator draws what
+    a new one would.  Re-keying takes about 2 us, a new generator about
+    20 us.
+    """
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & _MASK64, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def sample_assignments(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> np.ndarray:
@@ -289,8 +320,7 @@ def sample_assignments(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: i
     """
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    spheres, _ = _draw_spheres(pack, hypothesis, n, rng)
+    spheres, _ = _draw_spheres(pack, hypothesis, n, _keyed(seed))
     return spheres
 
 
@@ -306,7 +336,7 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
     """
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    rng = _keyed(seed)
     spheres, removed = _draw_spheres(pack, hypothesis, n, rng)
     d = pack.intrinsic_dim
     gauss = rng.standard_normal((n, d + 1))
@@ -367,6 +397,67 @@ def derive_seed(*parts: int) -> int:
     """
     entropy = tuple(int(p) & _MASK64 for p in parts)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _derive_seeds(*parts) -> np.ndarray:
+    """derive_seed over broadcast integer arrays, as a uint64 array.
+
+    The same SeedSequence hash, run in uint32 lanes.  SeedSequence reads
+    each part mod 2**64 as one 32-bit word below 2**32 and two from there
+    on, so rows are hashed in groups of equal word layout.  A call costs
+    about 150 array operations whatever its size: it pays for batches,
+    and derive_seed stays the one-seed path and the reference.
+    """
+
+    def lanes(part) -> np.ndarray:
+        return np.atleast_1d(np.asarray(part & _MASK64 if isinstance(part, int) else part).astype(np.uint64))
+
+    cols = np.broadcast_arrays(*map(lanes, parts))
+    layout = sum((col >> np.uint64(32) != 0).astype(np.int64) << i for i, col in enumerate(cols))
+    seeds = np.empty(cols[0].shape, dtype=np.uint64)
+    for code in set(layout.tolist()):  # np.unique would import numpy.ma, 1.3 MB
+        rows = layout == code
+        words = []
+        for i, col in enumerate(cols):
+            words.append((col[rows] & np.uint64(_MASK32)).astype(np.uint32))
+            if code >> i & 1:
+                words.append((col[rows] >> np.uint64(32)).astype(np.uint32))
+        seeds[rows] = _hash_words(words)
+    return seeds
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix: xor with a running constant, step it, multiply, fold."""
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return step
+
+
+def _hash_words(words: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(words).generate_state(1, np.uint64) for each lane of the word arrays."""
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0])) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    readout = _hashmix(_INIT_B, _MULT_B)
+    low, high = (readout(value).astype(np.uint64) for value in pool[:2])
+    return low | high << np.uint64(32)
 
 
 def save_points(path, points: np.ndarray) -> None:

@@ -2,15 +2,17 @@
 
 A trial batch runs the configured test on fresh draws under the full pack
 and under a random-deletion mixture, with one substream per (trial,
-side), so totals never depend on execution order.  Measured risk here is
-always over the constructed pack pair of hypotheses, not a worst case
+side), so totals never depend on execution order.  A side hashes its
+trial seeds in blocks and re-keys one generator per trial, which draws
+exactly what a generator built from each seed would.  Measured risk here
+is always over the constructed pack pair of hypotheses, not a worst case
 over anything larger.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +25,9 @@ TEST_KINDS = ("lrt", "occupancy", "estimator")
 # Stream codes for the two trial sides; part of the substream contract.
 _NULL_STREAM = 0
 _MIXTURE_STREAM = 1
+
+# Trial seeds hashed per vectorised call; bounds the seed memory of a side.
+_SEED_BLOCK = 1024
 
 # Risk values outside this band are dropped before rate fitting: below it
 # Monte Carlo noise dominates, above it the flat cap regime bends the line.
@@ -104,6 +109,13 @@ def trial_seed(master_seed: int, trial_index: int, stream_code: int) -> int:
     return derive_seed(master_seed, trial_index, stream_code)
 
 
+def _trial_seeds(master_seed: int, trials: int, stream_code: int) -> Iterator[int]:
+    """trial_seed(master_seed, t, stream_code) for t = 0..trials-1, hashed in blocks."""
+    for start in range(0, trials, _SEED_BLOCK):
+        block = np.arange(start, min(start + _SEED_BLOCK, trials))
+        yield from geometry._derive_seeds(master_seed, block, stream_code).tolist()
+
+
 def _build(config: TrialConfig) -> SpherePack:
     return geometry.build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
 
@@ -119,20 +131,21 @@ def _side_frequency(
 ) -> float:
     """Fraction of trials on which the configured test rejects (count tests: k > k_reject)."""
     m = pack.count
+    seeds = _trial_seeds(config.master_seed, config.trials, stream)
     rejections = 0
     if config.test_kind in ("lrt", "occupancy"):
         # Both tests are functions of the empty-sphere count alone, so the
-        # index-only sampler suffices; it shares the stream prefix with
+        # index-only draw suffices; it shares the stream prefix with
         # sample(), hence decisions match full point synthesis bitwise.
-        for t in range(config.trials):
-            seed = trial_seed(config.master_seed, t, stream)
-            chosen = geometry.sample_assignments(pack, hypothesis, config.n, seed)
+        rng = None
+        for seed in seeds:
+            rng = geometry._keyed(seed, rng)
+            chosen, _ = geometry._draw_spheres(pack, hypothesis, config.n, rng)
             k = int(np.count_nonzero(np.bincount(chosen, minlength=m) == 0))
             rejections += k > k_reject
     else:
         scale = _estimator_scale(config, pack)
-        for t in range(config.trials):
-            seed = trial_seed(config.master_seed, t, stream)
+        for seed in seeds:
             samples = geometry.sample(pack, hypothesis, config.n, seed)
             # Budget 0 keeps every trial on the component-count path; the
             # plug-in decision below only reads the leading Betti number.

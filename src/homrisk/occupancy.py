@@ -11,7 +11,9 @@ Poisson tail of rate at most one, so a log-magnitude route with
 compensated summation loses at most a digit to cancellation; against
 a 60-digit reference its P(K = 0) is still off by 3.8e-12 at
 (m, n) = (1000, 6908) and 5.7e-11 at (10000, 92104), most likely from
-lgamma log-factorials of magnitude about m log m.  Everything else (n
+lgamma log-factorials of magnitude about m log m.  Its leading term
+bounds each entry, so it sums only the entries that bound keeps above
+float underflow: 156 of 4096 at (4096, 36909).  Everything else (n
 below m log m at large m, where cancellation exceeds float precision)
 runs a one-throw-at-a-time recurrence on the occupied-bin count, which
 has only positive coefficients and so cannot cancel at all.
@@ -31,6 +33,10 @@ from .geometry import SampleSet, SpherePack, assign_points
 # 2-core machine.
 _EXACT_BINS = 512
 _EXACT_WORK = 2_000_000
+
+# Log magnitudes below this give math.exp(...) == 0.0 (underflow starts
+# near -745.13), with room for rounding in the log terms.
+_LOG_UNDERFLOW = -760.0
 
 
 def _series_is_tame(m: int, n: int) -> bool:
@@ -199,7 +205,13 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
         lf = _log_factorials(m)
         with np.errstate(divide="ignore"):
             log_pow = n * (np.log(np.arange(m + 1.0)) - math.log(m))
-        for k in ks:
+        # Term ratios are at most lam <= 1 here, so the j = 0 term is the
+        # peak and the scaled sum is at most w + 1: below -760 the entry's
+        # math.exp gives exactly 0.0, so only k above that bound are summed.
+        kv = np.arange(ks.start, ks.stop)
+        w = m - kv
+        bound = lf[m] - lf[kv] - lf[w] + log_pow[w] + np.log(w + 1.0)
+        for k in kv[bound >= _LOG_UNDERFLOW].tolist():
             probs[k] = _empty_exactly_log(lf, log_pow, m, k)
     else:
         probs[:k_stop] = _occupied_counts_law(m, n)[::-1][:k_stop]

@@ -245,7 +245,7 @@ def test_homology_nan_scale(tmp_path):
     proc = run_cli("homology", "--input", str(path), "--scale", "nan", "--max-dim", "1")
     assert proc.returncode == 1
     assert "scale must be positive" in proc.stderr
-    assert "betti_0" not in proc.stdout
+    assert proc.stdout == ""
 
 
 def test_homology_rejects_non_finite_points(tmp_path):
@@ -254,7 +254,7 @@ def test_homology_rejects_non_finite_points(tmp_path):
     proc = run_cli("homology", "--input", str(path), "--scale", "0.1", "--max-dim", "1")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: point 1 has a non-finite coordinate")
-    assert "betti_0" not in proc.stdout
+    assert proc.stdout == ""
 
 
 def test_homology_bad_max_dim_above_point_budget(tmp_path):
@@ -263,4 +263,4 @@ def test_homology_bad_max_dim_above_point_budget(tmp_path):
     proc = run_cli("homology", "--input", str(path), "--scale", "0.05", "--max-dim", "7")
     assert proc.returncode == 1
     assert "max_dim must lie in 1..3" in proc.stderr
-    assert "betti_0" not in proc.stdout
+    assert proc.stdout == ""

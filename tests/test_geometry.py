@@ -219,6 +219,22 @@ def test_sample_assignments_matches_full_sampler():
             assert np.array_equal(idx, full)
 
 
+@pytest.mark.parametrize("tau", [0.15, 1 / 16, 1 / 256])
+def test_deletion_by_index_offset_matches_np_delete(tau):
+    # kept-sphere draw c names sphere c + (c >= removed - 1): the values and
+    # dtype that indexing np.delete(arange(m), removed - 1) with c gives
+    pack = build_pack(1, 2, tau)
+    m = pack.count
+    for seed in (0, 5, 2**63 + 1):
+        for removed in sorted({1, 2, m // 2 + 1, m}):
+            draws = np.random.Generator(np.random.Philox(key=seed)).integers(0, m - 1, size=300)
+            expected = np.delete(np.arange(m), removed - 1)[draws]
+            got = sample_assignments(pack, Hypothesis.alternate(removed), 300, seed)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        draws = np.random.Generator(np.random.Philox(key=seed)).integers(0, m, size=300)
+        assert np.array_equal(sample_assignments(pack, Hypothesis.null(), 300, seed), draws)
+
+
 def test_assign_on_surface_and_between_spheres():
     pack = build_pack(1, 2, 1 / 16)
     tau = pack.radius

@@ -2,13 +2,16 @@ import csv
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homrisk import (
     CSV_HEADER,
     Hypothesis,
     SweepRow,
     TrialConfig,
+    assign_points,
     build_pack,
     derive_seed,
     emit_csv,
@@ -16,8 +19,11 @@ from homrisk import (
     fit_rate,
     likelihood_ratio,
     mc_risk,
+    geometry,
+    harness,
     prob_all_occupied,
     sample,
+    sample_assignments,
     sample_complexity,
     summarize,
     sweep_n,
@@ -42,6 +48,73 @@ def test_trial_seed_scheme():
     assert trial_seed(99, 3, 1) == derive_seed(99, 3, 1)
     seeds = {trial_seed(99, t, s) for t in range(50) for s in (0, 1)}
     assert len(seeds) == 100
+
+
+# The substream contract: these keys and draws fix every seeded Monte Carlo
+# number the package prints.
+TRIAL_SEEDS = {
+    (0, 0, 0): 0xDB2CD7E7B0F478BE,
+    (1, 0, 1): 0x18C2DD455977E38B,
+    (7, 4999, 0): 0x5BE2628706999694,
+    (2**32, 5, 1): 0x3BDDC8D608EC0F46,
+    (2**40 + 5, 123, 0): 0x90ED8B658BE16928,
+    (-1, 2, 1): 0xD142E9C29A858FDB,
+    (2**64 - 1, 0, 0): 0xAEBCA151928CAD0D,
+    (-(2**63), 17, 1): 0xF19689D208681BE3,
+}
+
+
+def test_trial_seed_golden_values():
+    for (master, t, stream), seed in TRIAL_SEEDS.items():
+        assert trial_seed(master, t, stream) == seed
+        assert list(harness._trial_seeds(master, t + 1, stream))[t] == seed
+
+
+def test_trial_draw_golden_values():
+    pack = build_pack(**M64)
+    null = sample_assignments(pack, Hypothesis.null(), 311, trial_seed(2013, 3, 0))
+    assert null[:8].tolist() == [31, 57, 17, 51, 1, 36, 13, 28]
+    mixture_seed = trial_seed(2013, 3, 1)
+    mixed = sample_assignments(pack, Hypothesis.mixture(), 311, mixture_seed)
+    assert mixed[:8].tolist() == [19, 12, 14, 25, 59, 8, 9, 10]
+    drawn = sample(pack, Hypothesis.mixture(), 311, mixture_seed)
+    assert drawn.realized_removed_index == 31
+    assert (assign_points(pack, drawn.points[:8]) - 1).tolist() == mixed[:8].tolist()
+
+
+def test_trial_seeds_cross_hash_blocks():
+    master = -(2**40) - 3
+    trials = harness._SEED_BLOCK + 5
+    assert list(harness._trial_seeds(master, trials, 1)) == [trial_seed(master, t, 1) for t in range(trials)]
+
+
+# Seed parts as derive_seed reads them mod 2**64, with the one- and two-word
+# edges of SeedSequence's 32-bit split.
+PART = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, -1, 2**63, -(2**63), 2**64 - 1]),
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(st.tuples(*[PART] * width), min_size=1, max_size=6)))
+def test_batched_seed_hash_matches_derive_seed(rows):
+    columns = [np.array([part % 2**64 for part in col], dtype=np.uint64) for col in zip(*rows)]
+    assert geometry._derive_seeds(*columns).tolist() == [derive_seed(*row) for row in rows]
+    assert geometry._derive_seeds(*rows[0]).tolist() == [derive_seed(*rows[0])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(PART, min_size=1, max_size=4), m=st.integers(2, 5000), n=st.integers(0, 50))
+def test_rekeyed_generator_draws_like_a_fresh_one(seeds, m, n):
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    rng.integers(0, 7, size=3)  # leaves a half-used 64-bit word in the buffer
+    for seed in seeds:
+        assert geometry._keyed(seed, rng) is rng
+        fresh = np.random.Generator(np.random.Philox(key=seed % 2**64))
+        assert rng.integers(1, m + 1) == fresh.integers(1, m + 1)
+        assert np.array_equal(rng.integers(0, m, size=n), fresh.integers(0, m, size=n))
+        assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3))
 
 
 def test_mc_risk_occupancy_two_spheres():

@@ -12,6 +12,7 @@ from homrisk import (
     build_pack,
     coupon_limit,
     empty_count_distribution,
+    occupancy,
     prob_all_occupied,
     sample,
     sample_assignments,
@@ -126,6 +127,30 @@ def test_all_occupied_equals_law_at_zero():
     for m, n in [(5, 8), (64, 311), (600, 900), (1024, 2048), (1024, 7200), (4096, 36909)]:
         law = empty_count_distribution(m, n)
         assert prob_all_occupied(m, n) == law.prob(0), (m, n)
+
+
+def _log_route_entries(m, n):
+    # every k through the route's own term sum, no window
+    lf = occupancy._log_factorials(m)
+    with np.errstate(divide="ignore"):
+        log_pow = n * (np.log(np.arange(m + 1.0)) - math.log(m))
+    return np.array([occupancy._empty_exactly_log(lf, log_pow, m, k) for k in range(m + 1)])
+
+
+@pytest.mark.parametrize("m, n", [(4096, 36909), (1000, 7601)])
+def test_log_route_window_drops_only_exact_zeros(m, n):
+    assert empty_count_distribution(m, n).probs.tobytes() == _log_route_entries(m, n).tobytes()
+
+
+def test_log_route_sums_only_its_window(monkeypatch):
+    summed = []
+    term_sum = occupancy._empty_exactly_log
+    monkeypatch.setattr(occupancy, "_empty_exactly_log", lambda *args: summed.append(args[3]) or term_sum(*args))
+    law = empty_count_distribution(4096, 36909)
+    nonzero = np.flatnonzero(law.probs).tolist()
+    assert set(nonzero) <= set(summed)
+    # 156 of the 4096 support entries, 152 of them non-zero
+    assert len(summed) <= len(nonzero) + 8
 
 
 def test_series_and_recurrence_routes_agree():
