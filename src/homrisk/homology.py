@@ -8,6 +8,7 @@ hook-and-compress labelling over the same scale-graph edge list.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,8 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
 
     A q-simplex is any (q+1)-subset of points with all pairwise distances
     at or below the scale, so the complex is the clique expansion of the
-    scale graph and is closed under faces by construction.
+    scale graph and is closed under faces by construction.  Levels grow
+    through upper-neighbour sets up[i] = {j > i : i ~ j} (Zomorodian 2010).
 
     Args:
         points: array-like of shape (n, dim).
@@ -109,16 +111,16 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     if n > max_points:
         raise ValueError(f"{n} points exceed the complex budget of {max_points}")
     first, second = _scale_edges(pts, scale)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[first, second] = adj[second, first] = True
-    levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
-    levels.append(list(zip(first.tolist(), second.tolist())))
-    for q in range(2, int(max_dim) + 1):
+    edges = list(zip(first.tolist(), second.tolist()))
+    up: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        up[i].add(j)
+    levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)], edges]
+    for _ in range(2, int(max_dim) + 1):
         grown: list[tuple[int, ...]] = []
-        for simplex in levels[q - 1]:
-            common = np.flatnonzero(adj[list(simplex)].all(axis=0))
-            for v in common[common > simplex[-1]]:
-                grown.append(simplex + (int(v),))
+        for simplex in levels[-1]:
+            common = up[simplex[0]].intersection(*(up[v] for v in simplex[1:]))
+            grown.extend(simplex + (v,) for v in sorted(common))
         levels.append(grown)
     return SimplicialComplex(
         vertex_count=n,
@@ -128,39 +130,37 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     )
 
 
-def _gf2_rank_columns(cols: list[int]) -> int:
+def _gf2_rank_columns(cols: Iterable[int]) -> int:
     """Rank over GF(2) by left-to-right column reduction.
 
-    Columns are bit masks over the rows.  Each one is xored with the
-    earlier pivot column sharing its highest set row until it either
-    empties or claims a new pivot row; int xor keeps the inner step one
-    machine word per 64 rows.
+    Columns are bit masks over the rows, read one at a time from any
+    iterable so only pivots stay alive.  Each is xored with the earlier
+    pivot sharing its highest set row until it empties or claims a new
+    pivot row; int xor keeps the inner step one word per 64 rows.
     """
     pivot_at_row: dict[int, int] = {}
-    rank = 0
     for col in cols:
         while col:
             low = col.bit_length() - 1
             other = pivot_at_row.get(low)
             if other is None:
                 pivot_at_row[low] = col
-                rank += 1
                 break
             col ^= other
-    return rank
+    return len(pivot_at_row)
 
 
 def _boundary_rank(faces: tuple[tuple[int, ...], ...], simplices: tuple[tuple[int, ...], ...]) -> int:
-    if not faces or not simplices:
-        return 0
     index = {f: i for i, f in enumerate(faces)}
-    cols = []
-    for s in simplices:
-        bits = 0
-        for drop in range(len(s)):
-            bits |= 1 << index[s[:drop] + s[drop + 1 :]]
-        cols.append(bits)
-    return _gf2_rank_columns(cols)
+
+    def columns():
+        for s in simplices:
+            bits = 0
+            for drop in range(len(s)):
+                bits |= 1 << index[s[:drop] + s[drop + 1 :]]
+            yield bits
+
+    return _gf2_rank_columns(columns())
 
 
 def betti(complex_: SimplicialComplex) -> BettiProfile:
@@ -172,9 +172,7 @@ def betti(complex_: SimplicialComplex) -> BettiProfile:
     sum and always equals the alternating Betti sum.
     """
     counts = complex_.simplex_counts
-    ranks = [0] * (complex_.max_dim + 2)
-    for q in range(1, complex_.max_dim + 1):
-        ranks[q] = _boundary_rank(complex_.simplices[q - 1], complex_.simplices[q])
+    ranks = [0, *map(_boundary_rank, complex_.simplices, complex_.simplices[1:]), 0]
     bettis = tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(complex_.max_dim + 1))
     euler = sum(c if q % 2 == 0 else -c for q, c in enumerate(counts))
     return BettiProfile(betti=bettis, euler_characteristic=euler)

@@ -134,6 +134,30 @@ def boundary_matrix(faces, simplices):
     return mat
 
 
+def rips_cliques(points, scale, max_dim):
+    """Every (q+1)-subset, q = 0..max_dim, whose pairs all lie within the scale.
+
+    Squared distances by an explicit coordinate sum, compared with
+    scale**2; subsets from itertools.combinations, so each level comes in
+    lexicographic order.
+    """
+    pts = [[float(x) for x in p] for p in points]
+    s2 = scale * scale
+    near = {
+        (i, j)
+        for i, j in itertools.combinations(range(len(pts)), 2)
+        if sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])) <= s2
+    }
+    return tuple(
+        tuple(
+            c
+            for c in itertools.combinations(range(len(pts)), q + 1)
+            if all(pair in near for pair in itertools.combinations(c, 2))
+        )
+        for q in range(max_dim + 1)
+    )
+
+
 def component_count(points, scale):
     """Components of the graph linking points at distance <= scale.
 

@@ -93,6 +93,14 @@ def test_coupon_flag_validation():
     assert run_cli("coupon", "--asymptotic").returncode == 1
 
 
+def test_coupon_beyond_recurrence_limit_fails_fast():
+    proc = run_cli("coupon", "--exact", "--m", "1000000", "--n", "10000000")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "above the limit of" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_risk_exact_values():
     proc = run_cli("risk-exact", "--m", "2", "--n", "3")
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,35 @@ def test_rips_simplices_are_sorted_and_face_closed():
                 for drop in range(len(simplex)):
                     face = simplex[:drop] + simplex[drop + 1 :]
                     assert face in seen[q - 1], (simplex, face)
+
+
+def test_rips_matches_brute_force_cliques():
+    rng = np.random.default_rng(23)
+    clouds = []
+    for _ in range(40):
+        pts = rng.uniform(size=(int(rng.integers(4, 21)), int(rng.integers(2, 5))))
+        clouds.append((pts, float(rng.uniform(0.2, 0.9))))
+    # dyadic grids: every distance is exact, so pairs at exactly the scale are in
+    for dim, side in ((2, 4), (3, 3), (4, 2)):
+        grid = 0.25 * np.indices((side,) * dim).reshape(dim, -1).T
+        clouds += [(grid, 0.25), (grid, 0.5)]
+    for pts, scale in clouds:
+        assert rips(pts, scale, 3).simplices == oracles.rips_cliques(pts, scale, 3)
+
+
+def test_betti_streams_boundary_columns():
+    # built as one list, the 24453 triangle columns put betti's traced peak at 12.6 MB;
+    # streamed into the eliminator they leave about 2.3 MB
+    pts = sample(build_pack(2, 3, 1 / 8), Hypothesis.null(), 400, 3).points
+    cx = rips(pts, 1 / 8, 2)
+    assert cx.simplex_counts == (400, 4889, 24453)
+    tracemalloc.start()
+    try:
+        betti(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_gf2_rank_against_full_pivot_oracle():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from homrisk import (
     build_pack,
     coupon_limit,
     empty_count_distribution,
+    exact_lrt_risk,
     occupancy,
     prob_all_occupied,
     sample,
@@ -87,6 +89,19 @@ def test_validation_errors():
         threshold_sample_size(4, 0.0)
     with pytest.raises(ValueError):
         threshold_sample_size(4, 1.5)
+
+
+def test_recurrence_beyond_work_limit_fails_fast():
+    # 10**13 bin updates would run about 16 hours; 2**15 * (2**15 + 1) is just over the limit
+    for call, m, n in (
+        (prob_all_occupied, 10**6, 10**7),
+        (exact_lrt_risk, 10**6, 10**7),
+        (prob_all_occupied, 2**15, 2**15 + 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above the limit of 1073741824"):
+            call(m, n)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_distribution_shape_and_support():
