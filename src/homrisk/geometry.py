@@ -5,7 +5,9 @@ into [0,1]^D with 4*radius spacing; each alternate deletes one sphere.
 Sampling runs on numpy's Philox counter generator keyed directly by the
 caller's seed, so draws are reproducible and independent of execution
 layout.  Batch callers re-key one generator per stream and hash their
-stream seeds in vectorised blocks.
+stream seeds in vectorised blocks: a seed has three parts, the master,
+the trial index and the stream code, in at most four 32-bit words, so a
+stream runs at most 2**32 trials.
 """
 from __future__ import annotations
 
@@ -399,31 +401,32 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _derive_seeds(*parts) -> np.ndarray:
-    """derive_seed over broadcast integer arrays, as a uint64 array.
+def _derive_seeds(master: int, trials: np.ndarray, stream: int) -> np.ndarray:
+    """derive_seed(master, t, stream) for each trial index t, as a uint64 array.
 
-    The same SeedSequence hash, run in uint32 lanes.  SeedSequence reads
-    each part mod 2**64 as one 32-bit word below 2**32 and two from there
-    on, so rows are hashed in groups of equal word layout.  A call costs
-    about 150 array operations whatever its size: it pays for batches,
-    and derive_seed stays the one-seed path and the reference.
+    SeedSequence's hash in uint32 lanes.  It reads a part mod 2**64 as one
+    32-bit word below 2**32 and two from there on, so the master gives one
+    or two words, the stream one and the trial indices (below 2**32) one
+    lane: at most the four words of the pool, which is padded with zeros.
+    A call costs about 140 array operations whatever its size: it pays for
+    batches, and derive_seed stays the one-seed path and the reference.
     """
-
-    def lanes(part) -> np.ndarray:
-        return np.atleast_1d(np.asarray(part & _MASK64 if isinstance(part, int) else part).astype(np.uint64))
-
-    cols = np.broadcast_arrays(*map(lanes, parts))
-    layout = sum((col >> np.uint64(32) != 0).astype(np.int64) << i for i, col in enumerate(cols))
-    seeds = np.empty(cols[0].shape, dtype=np.uint64)
-    for code in set(layout.tolist()):  # np.unique would import numpy.ma, 1.3 MB
-        rows = layout == code
-        words = []
-        for i, col in enumerate(cols):
-            words.append((col[rows] & np.uint64(_MASK32)).astype(np.uint32))
-            if code >> i & 1:
-                words.append((col[rows] >> np.uint64(32)).astype(np.uint32))
-        seeds[rows] = _hash_words(words)
-    return seeds
+    master = int(master) & _MASK64
+    fixed = [master & _MASK32, master >> 32] if master >> 32 else [master]
+    # Fixed words as 1-element arrays: numpy scalars warn when uint32 products overflow.
+    words = [np.array([w], dtype=np.uint32) for w in fixed]
+    words += [np.asarray(trials).astype(np.uint32), np.array([stream], dtype=np.uint32)]
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(words))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    readout = _hashmix(_INIT_B, _MULT_B)
+    low, high = (readout(value).astype(np.uint64) for value in pool[:2])
+    return low | high << np.uint64(32)
 
 
 def _hashmix(const: int, mult: int):
@@ -437,27 +440,6 @@ def _hashmix(const: int, mult: int):
         return value ^ (value >> np.uint32(16))
 
     return step
-
-
-def _hash_words(words: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence(words).generate_state(1, np.uint64) for each lane of the word arrays."""
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(words[i] if i < len(words) else np.zeros_like(words[0])) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    readout = _hashmix(_INIT_B, _MULT_B)
-    low, high = (readout(value).astype(np.uint64) for value in pool[:2])
-    return low | high << np.uint64(32)
 
 
 def save_points(path, points: np.ndarray) -> None:

@@ -29,6 +29,9 @@ _MIXTURE_STREAM = 1
 # Trial seeds hashed per vectorised call; bounds the seed memory of a side.
 _SEED_BLOCK = 1024
 
+# Trial indices are hashed as uint32 lanes; past this they would wrap and reuse substreams.
+_MAX_TRIALS = 1 << 32
+
 # Risk values outside this band are dropped before rate fitting: below it
 # Monte Carlo noise dominates, above it the flat cap regime bends the line.
 FIT_WINDOW = (1e-3, 0.5)
@@ -61,6 +64,8 @@ class TrialConfig:
             raise ValueError(f"test_kind must be one of {TEST_KINDS}, got {self.test_kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trials {self.trials} above the limit of {_MAX_TRIALS} substreams per side")
         if self.n < 0:
             raise ValueError("sample size must be >= 0")
 
@@ -114,6 +119,16 @@ def _trial_seeds(master_seed: int, trials: int, stream_code: int) -> Iterator[in
     for start in range(0, trials, _SEED_BLOCK):
         block = np.arange(start, min(start + _SEED_BLOCK, trials))
         yield from geometry._derive_seeds(master_seed, block, stream_code).tolist()
+
+
+def _increasing_sizes(n_values: Sequence[int], empty_message: str) -> list[int]:
+    """n_values as ints, checked non-empty and strictly increasing."""
+    sizes = [int(n) for n in n_values]
+    if not sizes:
+        raise ValueError(empty_message)
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sample sizes must be strictly increasing")
+    return sizes
 
 
 def _build(config: TrialConfig) -> SpherePack:
@@ -195,11 +210,7 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
     the variance of fitted slopes.  The envelope column uses the config
     delta, defaulting to 0.5.
     """
-    sizes = [int(n) for n in n_values]
-    if not sizes:
-        raise ValueError("no sample sizes to sweep")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sample sizes must be strictly increasing")
+    sizes = _increasing_sizes(n_values, "no sample sizes to sweep")
     pack = _build(config)
     delta = DEFAULT_DELTA if config.delta is None else config.delta
     rows = []
@@ -230,15 +241,15 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
 def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[int]) -> int:
     """Smallest candidate sample size whose risk is at or below epsilon.
 
-    The likelihood-ratio test scans its exact total risk; other tests
-    scan the Monte Carlo estimate plus two standard errors, a one-sided
-    upper confidence bound, so a noisy dip cannot satisfy the target.
+    Candidates must be strictly increasing, so the first that passes is
+    the smallest.  The likelihood-ratio test scans its exact total risk;
+    other tests scan the Monte Carlo estimate plus two standard errors, a
+    one-sided upper confidence bound, so a noisy dip cannot satisfy the
+    target.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    sizes = [int(n) for n in n_values]
-    if not sizes:
-        raise ValueError("no candidate sample sizes")
+    sizes = _increasing_sizes(n_values, "no candidate sample sizes")
     pack = _build(config)
     for n in sizes:
         if config.test_kind == "lrt":
@@ -258,7 +269,8 @@ def fit_rate(rows: Sequence[SweepRow], column: str = "exact_type1") -> RateFit:
 
     column selects which risk column supplies the values, "exact_type1"
     or "risk_hat".  Rows whose value falls outside FIT_WINDOW, or is
-    missing, are dropped; at least four must survive.
+    missing, are dropped; at least four must survive, at two or more
+    sample sizes.
     """
     if column not in ("exact_type1", "risk_hat"):
         raise ValueError(f"unsupported fit column {column!r}")
@@ -273,6 +285,8 @@ def fit_rate(rows: Sequence[SweepRow], column: str = "exact_type1") -> RateFit:
         raise ValueError(
             f"only {len(xs)} rows fall in the fit window [{lo:g}, {hi:g}]; need at least 4"
         )
+    if len(set(xs)) < 2:
+        raise ValueError(f"the rows in the fit window all have n = {xs[0]}; need at least 2 sample sizes")
     slope, intercept = np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)
     return RateFit(slope=float(slope), intercept=float(intercept))
 

@@ -22,7 +22,7 @@ problems above _RECURRENCE_WORK bin updates instead of running for hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class CouponQuery:
 
     m: int
     delta: float
-    c: float = math.nan
+    c: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:

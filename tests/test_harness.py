@@ -42,6 +42,10 @@ def test_config_validation():
         TrialConfig(**M2, n=5, trials=0, master_seed=1)
     with pytest.raises(ValueError):
         TrialConfig(**M2, n=-1, trials=10, master_seed=1)
+    # trial indices are 32-bit hash words; construction alone runs no trial
+    assert TrialConfig(**M2, n=5, trials=2**32, master_seed=1).trials == 2**32
+    with pytest.raises(ValueError, match=str(2**32)):
+        TrialConfig(**M2, n=5, trials=2**32 + 1, master_seed=1)
 
 
 def test_trial_seed_scheme():
@@ -97,11 +101,13 @@ PART = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(st.tuples(*[PART] * width), min_size=1, max_size=6)))
-def test_batched_seed_hash_matches_derive_seed(rows):
-    columns = [np.array([part % 2**64 for part in col], dtype=np.uint64) for col in zip(*rows)]
-    assert geometry._derive_seeds(*columns).tolist() == [derive_seed(*row) for row in rows]
-    assert geometry._derive_seeds(*rows[0]).tolist() == [derive_seed(*rows[0])]
+@given(master=PART, extra=st.lists(st.integers(0, 2**32 - 1), max_size=4))
+def test_batched_seed_hash_matches_derive_seed(master, extra):
+    # the uint32 lane's edges and a hash-block boundary, in every block
+    block = np.array([0, 1023, 1024, 2**31, 2**32 - 1, *extra], dtype=np.int64)
+    for stream in (0, 1):
+        expected = [derive_seed(master, t, stream) for t in block.tolist()]
+        assert geometry._derive_seeds(master, block, stream).tolist() == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -316,6 +322,8 @@ def test_fit_rate_window_and_errors():
     assert fit_all.slope == pytest.approx(-1 / 50.0, abs=1e-10)
     with pytest.raises(ValueError):
         fit_rate(inside[:3])
+    with pytest.raises(ValueError, match="2 sample sizes"):
+        fit_rate([synthetic_row(300, 0.1)] * 4)
     with pytest.raises(ValueError):
         fit_rate(inside, "stderr")
     none_rows = [
@@ -342,6 +350,10 @@ def test_sample_complexity_matches_exact_crossing_at_64():
     got = sample_complexity(config, 0.1, range(380, 441, 5))
     assert got == 410
     assert 395 <= got <= 425
+    # the first passing candidate is the smallest only in increasing order
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_complexity(config, 0.25, [1000, 345, 400])
+    assert sample_complexity(config, 0.25, [345, 400, 1000]) == 345
 
 
 def test_sample_complexity_upper_confidence_path():

@@ -222,6 +222,8 @@ def test_coupon_query_wiring():
         CouponQuery(4, 0.0)
     with pytest.raises(ValueError):
         CouponQuery(4, 1.5)
+    with pytest.raises(TypeError):
+        CouponQuery(64, 0.5, c=3.0)  # c is derived from delta, never passed
 
 
 def test_summarize_counts():
