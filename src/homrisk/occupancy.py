@@ -18,11 +18,17 @@ below m log m at large m, where cancellation exceeds float precision)
 runs a one-throw-at-a-time recurrence on the occupied-bin count, which
 has only positive coefficients and so cannot cancel at all; it refuses
 problems above _RECURRENCE_WORK bin updates instead of running for hours.
+The recurrence is one shared stepper that yields the law after every
+throw: the router reads its n-th state, and the sample-complexity scan
+of the harness steps the m-bin and (m-1)-bin laws through n in a single
+pass under the same work limit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -153,24 +159,25 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
     return math.exp(min(peak + math.log(s), 0.0))
 
 
-def _occupied_counts_law(m: int, n: int) -> np.ndarray:
-    """P(exactly j bins occupied) after n throws, index j = 0..m.
+def _occupied_counts_laws(m: int) -> Iterator[np.ndarray]:
+    """P(exactly j bins occupied), index j = 0..m, after 0, 1, 2, ... throws.
 
     One forward Markov step per throw: a ball lands in an occupied bin
     with probability j/m or opens a new one.  Every coefficient is
     positive, so this route is immune to the cancellation that limits
-    the series routes; cost is O(n m) flops.
+    the series routes; each step costs O(m) flops.  Every yielded array
+    is a fresh one, so callers may keep it.
     """
     state = np.zeros(m + 1)
     state[0] = 1.0
     j = np.arange(m + 1, dtype=float)
     stay = j / m
     enter = (m - j + 1.0) / m  # entry into level j from j-1
-    for _ in range(n):
+    while True:
+        yield state
         nxt = state * stay
         nxt[1:] += state[:-1] * enter[1:]
         state = nxt
-    return state
 
 
 def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
@@ -223,7 +230,7 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
             raise ValueError(
                 f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
             )
-        probs[:k_stop] = _occupied_counts_law(m, n)[::-1][:k_stop]
+        probs[:k_stop] = next(islice(_occupied_counts_laws(m), n, None))[::-1][:k_stop]
     return probs
 
 
@@ -250,6 +257,8 @@ def empty_count_distribution(m: int, n: int) -> OccupancyDistribution:
 
 def coupon_limit(c: float) -> float:
     """Limiting miss probability 1 - exp(-exp(c)) for n = m log m - cm draws."""
+    if math.isnan(c):
+        raise ValueError("offset c must be a number, got nan")
     try:
         return -math.expm1(-math.exp(c))
     except OverflowError:

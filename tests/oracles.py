@@ -96,6 +96,19 @@ def ratio_test_risk(m, n):
     return type_one, type_two
 
 
+def first_passing_size(risk, epsilon, sizes):
+    """First n in sizes with risk(n) <= epsilon, or None: one full risk call per candidate.
+
+    The per-candidate scan that sample_complexity ran before it stepped
+    the occupancy laws; the caller passes the risk, for instance the total
+    of exact_lrt_risk(m, n), so this module stays free of package code.
+    """
+    for n in sizes:
+        if risk(n) <= epsilon:
+            return n
+    return None
+
+
 def gf2_rank(rows):
     """Rank over GF(2) by full Gaussian elimination on a list of 0/1 rows."""
     mat = [list(r) for r in rows]

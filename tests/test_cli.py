@@ -2,13 +2,18 @@
 
 import csv
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from homrisk import CSV_HEADER, cli, geometry, save_points
+from homrisk import CSV_HEADER, cli, geometry, occupancy, save_points
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args):
@@ -86,6 +91,14 @@ def test_coupon_asymptotic():
     assert proc.returncode == 0
     kv = parse_kv(proc.stdout)
     assert float(kv["miss_prob_limit"]) == -math.expm1(-1.0)
+
+
+def test_coupon_asymptotic_rejects_nan_offset():
+    proc = run_cli("coupon", "--asymptotic", "--c", "nan")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "nan" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_coupon_flag_validation():
@@ -203,6 +216,37 @@ def test_complexity_finds_threshold():
     assert proc.returncode == 0
     kv = parse_kv(proc.stdout)
     assert kv["n_epsilon"] == "3"
+
+
+def test_complexity_beyond_scan_limit_fails_fast(monkeypatch, capsys):
+    # the m = 64 answer, 345, lies past a limit of 64 * 300 bin updates
+    monkeypatch.setattr(occupancy, "_RECURRENCE_WORK", 64 * 300)
+    argv = ["complexity", "--d", "1", "--D", "2", "--tau", "0.00390625", "--epsilon", "0.25", "--n-max", "2000"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"above the limit of {64 * 300}" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def readme_commands():
+    """Each `homrisk ...` line of the README's command-line block, continuations joined."""
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("homrisk ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "pack", "coupon", "risk-exact", "risk-mc", "sweep", "complexity", "homology",
+    }
+    monkeypatch.chdir(tmp_path)
+    angles = 2.0 * math.pi * np.arange(8) / 8
+    save_points("points.csv", np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == CSV_HEADER
 
 
 def test_homology_circle_file(tmp_path):

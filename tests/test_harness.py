@@ -1,11 +1,13 @@
 import csv
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from homrisk import (
     CSV_HEADER,
     Hypothesis,
@@ -21,6 +23,7 @@ from homrisk import (
     mc_risk,
     geometry,
     harness,
+    occupancy,
     prob_all_occupied,
     sample,
     sample_assignments,
@@ -33,6 +36,7 @@ from homrisk import (
 M2 = dict(intrinsic_dim=1, ambient_dim=2, radius=0.15)       # 2 spheres
 M4 = dict(intrinsic_dim=1, ambient_dim=2, radius=1 / 16)     # 4 spheres
 M64 = dict(intrinsic_dim=1, ambient_dim=2, radius=1 / 256)   # 64 spheres
+M256 = dict(intrinsic_dim=1, ambient_dim=2, radius=1 / 1024)  # 256 spheres
 
 
 def test_config_validation():
@@ -354,6 +358,94 @@ def test_sample_complexity_matches_exact_crossing_at_64():
     with pytest.raises(ValueError, match="strictly increasing"):
         sample_complexity(config, 0.25, [1000, 345, 400])
     assert sample_complexity(config, 0.25, [345, 400, 1000]) == 345
+
+
+def test_sample_complexity_scans_a_range_without_listing_it():
+    config = TrialConfig(**M64, n=1, trials=1, master_seed=1, test_kind="lrt")
+    assert sample_complexity(config, 0.25, range(10**12)) == 345
+    assert sample_complexity(config, 0.25, range(400, 399, -1)) == 400
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_complexity(config, 0.25, range(10**12, 0, -1))
+    with pytest.raises(ValueError, match="no candidate sample sizes"):
+        sample_complexity(config, 0.25, range(5, 5))
+    with pytest.raises(ValueError, match="sample size must be >= 0"):
+        sample_complexity(config, 0.25, range(-3, 5))
+    one_sphere = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=0.3, n=1, trials=1, master_seed=1)
+    with pytest.raises(ValueError, match="at least two spheres"):
+        sample_complexity(one_sphere, 0.25, range(10))
+
+
+def test_sample_complexity_scan_refuses_past_work_limit(monkeypatch):
+    config = TrialConfig(**M64, n=1, trials=1, master_seed=1, test_kind="lrt")
+    monkeypatch.setattr(occupancy, "_RECURRENCE_WORK", 64 * 345)
+    assert sample_complexity(config, 0.25, range(10**12)) == 345
+    monkeypatch.setattr(occupancy, "_RECURRENCE_WORK", 64 * 344)
+    with pytest.raises(ValueError, match=f"needs {64 * 345} bin updates, above the limit of {64 * 344}"):
+        sample_complexity(config, 0.25, range(10**12))
+
+
+def test_sample_complexity_confirms_once_per_answer(monkeypatch):
+    calls = []
+    exact = harness.lrt.exact_lrt_risk
+    monkeypatch.setattr(harness.lrt, "exact_lrt_risk", lambda m, n: calls.append((m, n)) or exact(m, n))
+    # at m = 256 a per-candidate exact scan takes about a minute
+    for dims, epsilon, answer in ((M64, 0.25, 345), (M64, 0.05, 453), (M256, 0.25, 1737)):
+        calls.clear()
+        config = TrialConfig(**dims, n=1, trials=1, master_seed=1, test_kind="lrt")
+        assert sample_complexity(config, epsilon, range(2001)) == answer
+        assert calls == [(build_pack(**dims).count, answer)]
+
+
+def _exact_total(m):
+    return lambda n: exact_lrt_risk(m, n).total
+
+
+@st.composite
+def scan_cases(draw):
+    """(m, epsilon, strictly increasing sizes), epsilon often an exact total or just below one."""
+    m = draw(st.integers(2, 80))
+    start = draw(st.integers(0, 12 * m))
+    if draw(st.booleans()):
+        sizes = list(range(start, start + draw(st.integers(1, 40))))
+    else:
+        gaps = draw(st.lists(st.integers(1, 3 * m), max_size=15))
+        sizes = list(itertools.accumulate([start, *gaps]))
+    kind = draw(st.sampled_from(["free", "tie", "below_tie"]))
+    if kind == "free":
+        epsilon = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    else:
+        tie = exact_lrt_risk(m, draw(st.sampled_from(sizes))).total
+        epsilon = tie if kind == "tie" else math.nextafter(tie, 0.0)
+    assume(0.0 < epsilon <= 1.0)
+    return m, epsilon, sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_stepped_scan_matches_per_candidate_exact_scan(case):
+    m, epsilon, sizes = case
+    assert harness._first_exact_pass(m, epsilon, sizes) == oracles.first_passing_size(
+        _exact_total(m), epsilon, sizes
+    )
+
+
+@pytest.mark.parametrize(
+    "m, epsilon, answer",
+    [
+        (512, 0.25, 3830),   # both laws on the exact-integer route
+        (513, 0.9, 1850),    # m bins by the throw recurrence, m - 1 by exact integers
+        (513, 0.25, 3838),   # m bins by the log series, m - 1 by exact integers
+        (1000, 0.9, 4216),   # both by the throw recurrence
+        (1000, 0.25, 8151),  # both by the log series
+    ],
+)
+def test_stepped_scan_matches_exact_scan_across_routes(m, epsilon, answer):
+    contiguous = range(answer - 2, answer + 3)
+    gapped = [answer - 7, answer - 1, answer + 4]
+    for sizes, first in ((contiguous, answer), (gapped, answer + 4)):
+        assert oracles.first_passing_size(_exact_total(m), epsilon, sizes) == first
+        assert harness._first_exact_pass(m, epsilon, sizes) == first
+    assert harness._first_exact_pass(m, epsilon, range(10**9)) == answer
 
 
 def test_sample_complexity_upper_confidence_path():

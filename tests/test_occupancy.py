@@ -202,6 +202,12 @@ def test_coupon_limit_values():
     assert coupon_limit(800.0) == 1.0
 
 
+def test_coupon_limit_rejects_nan_offset():
+    with pytest.raises(ValueError, match="nan"):
+        coupon_limit(math.nan)
+    assert coupon_limit(math.inf) == 1.0
+
+
 def test_threshold_sample_size_values():
     assert threshold_sample_size(1, 1.0) == 0
     assert threshold_sample_size(2, 0.5) == 3
