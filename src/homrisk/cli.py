@@ -146,7 +146,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 def _add_pack_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--d", type=int, required=True, help="sphere dimension")
     sub.add_argument("--D", type=int, required=True, help="ambient dimension")
-    sub.add_argument("--tau", type=float, required=True, help="sphere radius")
+    sub.add_argument("--tau", type=float, required=True, help="sphere radius (give -inf as --tau=-inf)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact finite-sample law (default)")
     mode.add_argument("--asymptotic", action="store_true", help="limit value 1 - exp(-exp(c))")
-    sub.add_argument("--c", type=float, help="offset for the asymptotic form")
+    sub.add_argument("--c", type=float, help="offset for the asymptotic form (give -inf as --c=-inf)")
     sub.set_defaults(func=_cmd_coupon)
 
     sub = subs.add_parser("risk-exact", help="exact likelihood-ratio risk at (m, n)")

@@ -32,12 +32,6 @@ _SEED_BLOCK = 1024
 # Trial indices are hashed as uint32 lanes; past this they would wrap and reuse substreams.
 _MAX_TRIALS = 1 << 32
 
-# The lrt scan hands a candidate to exact_lrt_risk when its float risk is
-# at most epsilon * (1 + _SCREEN_MARGIN), or epsilon + _SCREEN_FLOOR where
-# that is larger: near float underflow relative error means nothing.
-_SCREEN_MARGIN = 1e-6
-_SCREEN_FLOOR = 1e-300
-
 # Risk values outside this band are dropped before rate fitting: below it
 # Monte Carlo noise dominates, above it the flat cap regime bends the line.
 FIT_WINDOW = (1e-3, 0.5)
@@ -74,6 +68,8 @@ class TrialConfig:
             raise ValueError(f"trials {self.trials} above the limit of {_MAX_TRIALS} substreams per side")
         if self.n < 0:
             raise ValueError("sample size must be >= 0")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -250,33 +246,6 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
     return tuple(rows)
 
 
-def _first_exact_pass(m: int, epsilon: float, sizes: Sequence[int]) -> int | None:
-    """First n in sizes with exact_lrt_risk(m, n).total <= epsilon, or None (see sample_complexity)."""
-    if m < 2:
-        raise ValueError("the deletion mixture needs at least two spheres")
-    limit = epsilon + max(_SCREEN_MARGIN * epsilon, _SCREEN_FLOOR)
-    null_laws = occupancy._occupied_counts_laws(m)
-    deleted_laws = occupancy._occupied_counts_laws(m - 1)
-    stepped = -1
-    for n in sizes:
-        if n < 0:
-            raise ValueError("sample size must be >= 0")
-        if m * n > occupancy._RECURRENCE_WORK:
-            raise ValueError(
-                f"sample-complexity scan for m={m} up to n={n} needs {m * n} bin updates, "
-                f"above the limit of {occupancy._RECURRENCE_WORK}"
-            )
-        while stepped < n:
-            null, deleted = next(null_laws), next(deleted_laws)
-            stepped += 1
-        # null[j] and deleted[j] hold P(j occupied), so empty count k sits at m - k and m - 1 - k
-        cut = math.floor(lrt._k_threshold(m, n))
-        risk = null[: m - cut].sum() + (deleted[m - cut :].sum() if cut else 0.0)
-        if risk <= limit and lrt.exact_lrt_risk(m, n).total <= epsilon:
-            return n
-    return None
-
-
 def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[int]) -> int:
     """Smallest candidate sample size whose risk is at or below epsilon.
 
@@ -284,25 +253,14 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
     the smallest; a range is scanned lazily, never listed.  Other tests
     scan the Monte Carlo estimate plus two standard errors, a one-sided
     upper confidence bound, so a noisy dip cannot satisfy the target.
-
-    The likelihood-ratio test answers from its exact total risk in one
-    pass: the m-bin and (m-1)-bin throw recurrences of the occupancy
-    module step through n together, and each candidate's float risk,
-    read from the same floor(t) slices as exact_lrt_risk, screens out
-    every n whose risk exceeds epsilon by more than _SCREEN_MARGIN *
-    epsilon (or _SCREEN_FLOOR).  Float and exact risks agree to 3.4e-12
-    for m up to 2000 on all three occupancy routes, so the screen drops
-    no passing n, and exact_lrt_risk decides each n it lets through: the
-    answer is the per-n exact scan's.  The cost is O(m * n_epsilon) float
-    operations plus, as a rule, one exact_lrt_risk call; the pass
-    refuses to step past m * n = occupancy._RECURRENCE_WORK bin updates.
+    The likelihood-ratio test answers exactly: see lrt._first_passing_size.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     sizes = _increasing_sizes(n_values, "no candidate sample sizes")
     pack = _build(config)
     if config.test_kind == "lrt":
-        found = _first_exact_pass(pack.count, epsilon, sizes)
+        found = lrt._first_passing_size(pack.count, epsilon, sizes)
         if found is not None:
             return found
     else:

@@ -18,10 +18,9 @@ below m log m at large m, where cancellation exceeds float precision)
 runs a one-throw-at-a-time recurrence on the occupied-bin count, which
 has only positive coefficients and so cannot cancel at all; it refuses
 problems above _RECURRENCE_WORK bin updates instead of running for hours.
-The recurrence is one shared stepper that yields the law after every
-throw: the router reads its n-th state, and the sample-complexity scan
-of the harness steps the m-bin and (m-1)-bin laws through n in a single
-pass under the same work limit.
+The recurrence is one stepper that yields the law after every throw: the
+router reads its n-th state, and the sample-complexity scan beside
+exact_lrt_risk steps two laws through n, both under one work check.
 """
 from __future__ import annotations
 
@@ -159,6 +158,13 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
     return math.exp(min(peak + math.log(s), 0.0))
 
 
+def _check_recurrence_work(m: int, n: int) -> None:
+    if m * n > _RECURRENCE_WORK:
+        raise ValueError(
+            f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
+        )
+
+
 def _occupied_counts_laws(m: int) -> Iterator[np.ndarray]:
     """P(exactly j bins occupied), index j = 0..m, after 0, 1, 2, ... throws.
 
@@ -226,10 +232,7 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
         for k in kv[bound >= _LOG_UNDERFLOW].tolist():
             probs[k] = _empty_exactly_log(lf, log_pow, m, k)
     else:
-        if m * n > _RECURRENCE_WORK:
-            raise ValueError(
-                f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
-            )
+        _check_recurrence_work(m, n)
         probs[:k_stop] = next(islice(_occupied_counts_laws(m), n, None))[::-1][:k_stop]
     return probs
 

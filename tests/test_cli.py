@@ -101,6 +101,18 @@ def test_coupon_asymptotic_rejects_nan_offset():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_negative_infinity_needs_the_equals_form():
+    # argparse reads a bare "-inf" as an option, so these take --c=-inf and --tau=-inf
+    proc = run_cli("coupon", "--asymptotic", "--c=-inf")
+    assert proc.returncode == 0
+    assert parse_kv(proc.stdout)["miss_prob_limit"] == "0.0"
+    proc = run_cli("pack", "--d", "1", "--D", "2", "--tau=-inf")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_coupon_flag_validation():
     assert run_cli("coupon", "--exact").returncode == 1
     assert run_cli("coupon", "--asymptotic").returncode == 1
@@ -206,6 +218,21 @@ def test_sweep_rejects_empty_range():
     )
     assert proc.returncode == 1
     assert proc.stderr.strip() == "error: no sample sizes to sweep"
+
+
+def test_sweep_rejects_delta_outside_unit_interval(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_cli(
+        "sweep", "--d", "1", "--D", "2", "--tau", "0.0625",
+        "--n-min", "10", "--n-max", "20", "--n-step", "10",
+        "--trials", "20000", "--seed", "1", "--test", "lrt",
+        "--delta", "2", "--out", str(out),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "delta" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_complexity_finds_threshold():

@@ -259,6 +259,16 @@ def test_sweep_respects_delta_for_envelope():
     assert row.rate_envelope == 0.05  # capped by the configured delta
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.5, math.nan])
+def test_bad_delta_fails_before_any_trial(delta, monkeypatch):
+    def no_trials(config):
+        raise AssertionError("mc_risk ran before delta was checked")
+
+    monkeypatch.setattr(harness, "mc_risk", no_trials)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        sweep_n(TrialConfig(**M4, n=10, trials=20000, master_seed=1, delta=delta), [10, 20])
+
+
 def test_emit_csv_header_and_roundtrip(tmp_path):
     config = TrialConfig(**M2, n=1, trials=25, master_seed=31, test_kind="lrt")
     rows = sweep_n(config, list(range(2, 19)))
@@ -424,7 +434,7 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_stepped_scan_matches_per_candidate_exact_scan(case):
     m, epsilon, sizes = case
-    assert harness._first_exact_pass(m, epsilon, sizes) == oracles.first_passing_size(
+    assert harness.lrt._first_passing_size(m, epsilon, sizes) == oracles.first_passing_size(
         _exact_total(m), epsilon, sizes
     )
 
@@ -444,8 +454,8 @@ def test_stepped_scan_matches_exact_scan_across_routes(m, epsilon, answer):
     gapped = [answer - 7, answer - 1, answer + 4]
     for sizes, first in ((contiguous, answer), (gapped, answer + 4)):
         assert oracles.first_passing_size(_exact_total(m), epsilon, sizes) == first
-        assert harness._first_exact_pass(m, epsilon, sizes) == first
-    assert harness._first_exact_pass(m, epsilon, range(10**9)) == answer
+        assert harness.lrt._first_passing_size(m, epsilon, sizes) == first
+    assert harness.lrt._first_passing_size(m, epsilon, range(10**9)) == answer
 
 
 def test_sample_complexity_upper_confidence_path():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from homrisk import (
     exact_lrt_risk,
     likelihood_ratio,
     likelihood_ratio_closed_form,
+    occupancy,
     rate_curve,
     risk_lower_bound,
     sample,
@@ -175,6 +177,17 @@ def test_exact_risk_is_the_two_law_tails(m, n):
     assert report.type_I.hex() == type_one.hex(), (m, n)
     assert report.type_II.hex() == type_two.hex(), (m, n)
     assert report.total == type_one + type_two
+
+
+@pytest.mark.parametrize("m, n", [(600, 900), (1000, 4216), (2000, 10000)])
+def test_scan_screen_is_the_exact_risk_on_the_recurrence(m, n):
+    # m and m - 1 bins both take the throw recurrence here, so the scan's
+    # stepped states, reversed, must give exact_lrt_risk's tails bit for bit
+    null = next(itertools.islice(occupancy._occupied_counts_laws(m), n, None))
+    deleted = next(itertools.islice(occupancy._occupied_counts_laws(m - 1), n, None))
+    screen = homrisk.lrt._tails(homrisk.lrt._k_threshold(m, n), null[::-1], lambda: deleted[::-1])
+    report = exact_lrt_risk(m, n)
+    assert screen == (report.type_I, report.type_II)
 
 
 def test_exact_risk_skips_the_deletion_law_below_one(monkeypatch):
