@@ -4,7 +4,9 @@ The full route builds the scale-r neighborhood (clique) complex and reads
 Betti numbers off boundary ranks over the two-element field.  That blows
 up combinatorially, so it carries dimension and point budgets; the
 component count alone has a cheap route with no budget, vectorised
-hook-and-compress labelling over the same scale-graph edge list.
+hook-and-compress labelling over the same scale-graph edge list.  Both
+take that list from one sweep over the points sorted on an axis, which
+tests only the pairs that axis leaves within reach.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from .geometry import SampleSet, SpherePack
 MAX_COMPLEX_DIM = 3
 DEFAULT_POINT_BUDGET = 2000
 
-# Floats in one difference buffer of _scale_edges, the distance pass's memory cap.
+# Words of working memory in one block of candidate pairs of _scale_edges, about eight a pair:
+# the neighbour pass's memory cap.
 _BLOCK_FLOATS = 1 << 21
 
 
@@ -74,15 +77,51 @@ def _as_point_array(points) -> np.ndarray:
 def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
     """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j).
 
-    Each row block meets only the rows from its own start on: the upper triangle.
+    A sweep over the points sorted on axis 0 (Bentley, Stanat and Williams
+    1977): each point meets only the later points whose axis-0 coordinate
+    lies within scale of its own, plus a few ulps, so that rounding drops no
+    pair the distance test accepts.  Candidate pairs run in blocks of at most
+    _BLOCK_FLOATS // 8.  The test is d2 <= scale * scale, with d2 summed as
+    einsum sums it: from three axes on, einsum may add the squares in another
+    order, so the pairs whose axis-by-axis sum lies within rounding of the
+    scale are summed again by einsum.
     """
-    rows = max(1, _BLOCK_FLOATS // max(1, pts.shape[0] * pts.shape[1]))
-    pairs = [np.empty((2, 0), dtype=int)]
-    for start in range(0, pts.shape[0], rows):
-        diffs = pts[start : start + rows, None, :] - pts[None, start:, :]
-        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        pairs.append(np.stack(np.nonzero(np.triu(d2 <= scale * scale, 1))) + start)
-    return np.concatenate(pairs, axis=1)
+    n, dims = pts.shape
+    if dims == 0:  # no coordinates: every pair is at distance 0
+        return np.stack(np.triu_indices(n, 1))
+    order = np.argsort(pts[:, 0], kind="stable")
+    rows = pts[order]
+    cols = rows.T.copy()
+    x = cols[0]
+    reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
+    counts = np.searchsorted(x, reach, side="right") - np.arange(1, n + 1)
+    ends = np.cumsum(counts)
+    s2 = scale * scale
+    # any two orders of summing dims nonnegative squares differ by under (dims - 1) eps relative
+    slack = 4 * dims * np.finfo(float).eps * s2
+    keys = [np.empty(0, dtype=int)]
+    lo = 0
+    while lo < n:
+        base = ends[lo - 1] if lo else 0
+        # a point whose window alone exceeds the cap is a block of its own
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS // 8, side="right")))
+        per_point = counts[lo:hi]
+        first = np.repeat(np.arange(lo, hi), per_point)
+        second = first + 1 + np.arange(first.size) - np.repeat(ends[lo:hi] - per_point - base, per_point)
+        d = cols[0][first] - cols[0][second]
+        d2 = d * d
+        for col in cols[1:]:
+            d = col[first] - col[second]
+            d2 += d * d
+        near = d2 <= s2
+        if dims > 2:
+            redo = np.flatnonzero(np.abs(d2 - s2) <= slack)
+            diffs = rows[first[redo]] - rows[second[redo]]
+            near[redo] = np.einsum("ij,ij->i", diffs, diffs) <= s2
+        i, j = order[first[near]], order[second[near]]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        lo = hi
+    return np.stack(np.divmod(np.sort(np.concatenate(keys)), n))
 
 
 def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_BUDGET) -> SimplicialComplex:
@@ -184,7 +223,7 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     Vectorised hook-and-compress (Shiloach and Vishkin) over the edge list:
     each round hooks every root onto the smallest lower root it shares an edge
     with, then pointer-jumps to stars, until no edge joins two roots.
-    Distances run in bounded blocks, so memory is the edge list; no point budget.
+    Candidate pairs run in bounded blocks, so memory is the edge list; no point budget.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")

@@ -165,29 +165,46 @@ def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
     )
 
 
+def _stepper(m: int) -> Callable[[int], np.ndarray]:
+    """law(n): the m-bin throw-recurrence state after n throws, for n that never falls.
+
+    Each call steps the recurrence only as far as its n, so a law that is
+    never asked for past some n is never stepped past it.
+    """
+    laws = enumerate(_occupied_counts_laws(m))
+    stepped, state = -1, None
+
+    def law(n: int) -> np.ndarray:
+        nonlocal stepped, state
+        while stepped < n:
+            stepped, state = next(laws)
+        return state
+
+    return law
+
+
 def _first_passing_size(m: int, epsilon: float, sizes: Iterable[int]) -> int | None:
     """First n in sizes with exact_lrt_risk(m, n).total <= epsilon, or None.
 
-    The m-bin and (m-1)-bin throw recurrences step through n together; the
-    float risk of each candidate, _tails of the reversed states, screens out
-    every n above the _SCREEN_MARGIN limit.  Float and exact risks agree to
-    3.4e-12 for m up to 2000 on all routes, bit for bit where both laws take
-    the recurrence, so no passing n is dropped and exact_lrt_risk decides the
-    rest: O(m * n_epsilon) flops, as a rule one exact call, one work check.
+    The m-bin throw recurrence steps through n, and the (m-1)-bin one only as
+    far as _tails reads it; the float risk of each candidate, _tails of the
+    reversed states, screens out every n above the _SCREEN_MARGIN limit.
+    Float and exact risks agree to 3.4e-12 for m up to 2000 on all routes,
+    bit for bit where both laws take the recurrence, so no passing n is
+    dropped and exact_lrt_risk decides the rest: O(m * n_epsilon) flops, as a
+    rule one exact call, one work check.
     """
     if m < 2:
         raise ValueError("the deletion mixture needs at least two spheres")
     limit = epsilon + max(_SCREEN_MARGIN * epsilon, _SCREEN_FLOOR)
-    laws = enumerate(zip(_occupied_counts_laws(m), _occupied_counts_laws(m - 1)))
-    stepped = -1
+    null_law, deleted_law = _stepper(m), _stepper(m - 1)
     for n in sizes:
         if n < 0:
             raise ValueError("sample size must be >= 0")
         _check_recurrence_work(m, n)
-        while stepped < n:
-            stepped, (null, deleted) = next(laws)
-        # state[j] holds P(j occupied), so reversed it is indexed by empty count
-        type_i, type_ii = _tails(_k_threshold(m, n), null[::-1], lambda: deleted[::-1])
+        # state[j] holds P(j occupied), so reversed it is indexed by empty count;
+        # floor(t) only falls as n grows, so once it is 0 the (m-1)-bin law stops stepping
+        type_i, type_ii = _tails(_k_threshold(m, n), null_law(n)[::-1], lambda: deleted_law(n)[::-1])
         if type_i + type_ii <= limit and exact_lrt_risk(m, n).total <= epsilon:
             return n
     return None

@@ -10,6 +10,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 
 def compositions(n, m):
     """Yield all tuples (c_1..c_m) of nonnegative ints summing to n."""
@@ -169,6 +171,22 @@ def rips_cliques(points, scale, max_dim):
         )
         for q in range(max_dim + 1)
     )
+
+
+def scale_edges_blocked(pts, scale, block_floats=1 << 21):
+    """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j).
+
+    The all-pairs pass homology._scale_edges ran before it became a sweep,
+    kept verbatim: each row block meets only the rows from its own start on,
+    the upper triangle, with the squared distances summed by einsum.
+    """
+    rows = max(1, block_floats // max(1, pts.shape[0] * pts.shape[1]))
+    pairs = [np.empty((2, 0), dtype=int)]
+    for start in range(0, pts.shape[0], rows):
+        diffs = pts[start : start + rows, None, :] - pts[None, start:, :]
+        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+        pairs.append(np.stack(np.nonzero(np.triu(d2 <= scale * scale, 1))) + start)
+    return np.concatenate(pairs, axis=1)
 
 
 def component_count(points, scale):

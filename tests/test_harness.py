@@ -458,6 +458,21 @@ def test_stepped_scan_matches_exact_scan_across_routes(m, epsilon, answer):
     assert harness.lrt._first_passing_size(m, epsilon, range(10**9)) == answer
 
 
+def test_scan_steps_the_deletion_law_only_while_floor_t_is_positive(monkeypatch):
+    # floor(64 (63/64)^n) is 0 from n = 265 on, so _tails reads the 63-bin law at n <= 264 only
+    steps = {64: 0, 63: 0}
+    real = harness.lrt._occupied_counts_laws
+
+    def counted(m):
+        for state in real(m):
+            steps[m] += 1
+            yield state
+
+    monkeypatch.setattr(harness.lrt, "_occupied_counts_laws", counted)
+    assert harness.lrt._first_passing_size(64, 0.25, range(10**9)) == 345
+    assert steps == {64: 346, 63: 265}
+
+
 def test_sample_complexity_upper_confidence_path():
     config = TrialConfig(
         **M2, n=1, trials=150, master_seed=41, test_kind="estimator", scale=0.15

@@ -19,7 +19,8 @@ from homrisk import (
     sample_assignments,
     sphere_surface_measure,
 )
-from homrisk.homology import _boundary_rank, _gf2_rank_columns
+from homrisk import homology
+from homrisk.homology import _boundary_rank, _gf2_rank_columns, _scale_edges
 
 
 def circle_points(count, radius=1.0, center=(0.0, 0.0)):
@@ -223,7 +224,8 @@ def test_linkage_edges():
 
 
 def test_linkage_blocking_consistent_on_larger_set():
-    # several row blocks; compare against the one-shot rips count
+    # 1300 points, one block of candidate pairs; test_scale_edges_across_many_blocks
+    # covers many.  Compare against the rips count and the oracle
     rng = np.random.default_rng(23)
     pts = rng.uniform(size=(1300, 2)) * 4.0
     scale = 0.09
@@ -231,6 +233,70 @@ def test_linkage_blocking_consistent_on_larger_set():
     from_rips = betti(rips(pts, scale, max_dim=1)).betti[0]
     assert from_linkage == from_rips
     assert from_linkage == oracles.component_count(pts, scale)
+
+
+def assert_same_edges(pts, scale):
+    got, want = _scale_edges(pts, scale), oracles.scale_edges_blocked(pts, scale)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "pts, scale",
+    [
+        (np.zeros((0, 2)), 0.5),
+        (np.array([[0.3, -0.2, 0.1]]), 0.5),
+        # duplicate points, ties on axis 0, pairs exactly the scale apart on axis 0
+        (np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0625], [0.0625, 0.0], [0.125, 0.0], [0.0625, 0.0]]), 0.0625),
+        # an edge, though the second point lies past nextafter(x + scale): the window needs slack in ulps of x
+        (np.array([[-0.06250625], [-6.249999999995842e-06]]), 1 / 16),
+        # einsum may add these three squares in another order than axis by axis (it does
+        # on two-lane SIMD builds), and then the two sums straddle scale**2
+        (np.array([[0.0, 0.0, 0.0], [0.0625, 3.026798367500305e-09, 0.0625]]), 0.08838834764831849),
+        (1e3 + np.array([[0.0, 0.0], [0.01, 0.0], [-0.01, 0.0], [0.005, 0.005], [0.02, 0.0]]), 1e-2),
+    ],
+)
+def test_scale_edges_match_the_blocked_pass_on_edge_cases(pts, scale):
+    assert_same_edges(pts, scale)
+
+
+@st.composite
+def clouds(draw):
+    dims = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 30))
+    scale = draw(st.sampled_from([1 / 16, 1e-2, 0.25]) | st.floats(1e-3, 2.0))
+    # grid coordinates give duplicates, ties on axis 0 and pairs exactly the scale apart
+    step = draw(st.sampled_from([scale, scale / 2, scale / 3, 0.0]))
+    coord = st.integers(-6, 6).map(lambda k: k * step) | st.floats(-4.0, 4.0).map(lambda v: v * scale)
+    offset = draw(st.sampled_from([0.0, -1e3, 1e3]))
+    rows = draw(st.lists(st.lists(coord, min_size=dims, max_size=dims), min_size=n, max_size=n))
+    return np.array(rows, dtype=float).reshape(n, dims) + offset, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=clouds())
+def test_scale_edges_match_the_blocked_pass(cloud):
+    assert_same_edges(*cloud)
+
+
+def test_scale_edges_across_many_blocks(monkeypatch):
+    # at most 20 candidate pairs a block: about 20 a point at scale 0.05, and the first
+    # of the 40 points stacked at x = 0.5 has 39 in its window alone
+    monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8 * 20)
+    rng = np.random.default_rng(31)
+    for dims in (1, 2, 3):
+        pts = rng.uniform(size=(400, dims))
+        pts[:40, 0] = 0.5
+        for scale in (0.05, 0.2):
+            assert_same_edges(pts, scale)
+
+
+def test_points_without_coordinates_are_one_cluster():
+    # with no coordinates every pair is at distance 0, so every pair is an edge
+    pts = np.zeros((3, 0))
+    assert_same_edges(pts, 0.5)
+    assert betti0_linkage(pts, 0.5).cluster_count == 1
+    assert betti(rips(pts, 0.5, 2)).betti == (1, 0, 0)  # the full triangle
 
 
 def test_linkage_labels_shuffled_line_and_edge_cases():
