@@ -26,9 +26,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-# Generated points must satisfy |dist(point, center) - radius| below this.
-ON_SPHERE_TOL = 1e-9
-
 # Most center coordinates build_pack allocates: 2**27 floats are 1 GiB, 16 times
 # the largest pack the tests build (128**3 spheres in 4 dimensions).
 _MAX_PACK_FLOATS = 1 << 27

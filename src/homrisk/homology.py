@@ -6,7 +6,9 @@ up combinatorially, so it carries dimension and point budgets; the
 component count alone has a cheap route with no budget, vectorised
 hook-and-compress labelling over the same scale-graph edge list.  Both
 take that list from one sweep over the points sorted on an axis, which
-tests only the pairs that axis leaves within reach.
+tests only the pairs that axis leaves within reach.  A pair is an edge when
+its squares, added in axis order, sum to at most the squared scale, so the
+edge set is the same on every numpy build.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from .geometry import SampleSet, SpherePack
 MAX_COMPLEX_DIM = 3
 DEFAULT_POINT_BUDGET = 2000
 
-# Words of working memory in one block of candidate pairs of _scale_edges, about eight a pair:
-# the neighbour pass's memory cap.
+# Words of working memory in one block of candidate pairs of _scale_edges, about eight a pair
+# when every candidate is an edge and six when few are: the neighbour pass's memory cap.
 _BLOCK_FLOATS = 1 << 21
 
 
@@ -64,7 +66,7 @@ class ClusterEstimate:
 def _as_point_array(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 1)
+        pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise ValueError("points must form a 2-d array, one point per row")
     finite = np.isfinite(pts).all(axis=1)
@@ -77,28 +79,24 @@ def _as_point_array(points) -> np.ndarray:
 def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
     """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j).
 
-    A sweep over the points sorted on axis 0 (Bentley, Stanat and Williams
-    1977): each point meets only the later points whose axis-0 coordinate
-    lies within scale of its own, plus a few ulps, so that rounding drops no
-    pair the distance test accepts.  Candidate pairs run in blocks of at most
-    _BLOCK_FLOATS // 8.  The test is d2 <= scale * scale, with d2 summed as
-    einsum sums it: from three axes on, einsum may add the squares in another
-    order, so the pairs whose axis-by-axis sum lies within rounding of the
-    scale are summed again by einsum.
+    A pair is an edge when its squares, added in axis order, sum to at most
+    scale * scale.  That one rule fixes the summation order, so the edge set
+    is the same on every numpy build.  A sweep over the points sorted on
+    axis 0 (Bentley, Stanat and Williams 1977): each point meets only the
+    later points whose axis-0 coordinate lies within scale of its own, plus a
+    few ulps, so that rounding drops no pair the rule accepts.  Candidate
+    pairs run in blocks of at most _BLOCK_FLOATS // 8.
     """
     n, dims = pts.shape
     if dims == 0:  # no coordinates: every pair is at distance 0
         return np.stack(np.triu_indices(n, 1))
     order = np.argsort(pts[:, 0], kind="stable")
-    rows = pts[order]
-    cols = rows.T.copy()
+    cols = pts[order].T.copy()
     x = cols[0]
     reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
     counts = np.searchsorted(x, reach, side="right") - np.arange(1, n + 1)
     ends = np.cumsum(counts)
     s2 = scale * scale
-    # any two orders of summing dims nonnegative squares differ by under (dims - 1) eps relative
-    slack = 4 * dims * np.finfo(float).eps * s2
     keys = [np.empty(0, dtype=int)]
     lo = 0
     while lo < n:
@@ -114,10 +112,6 @@ def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
             d = col[first] - col[second]
             d2 += d * d
         near = d2 <= s2
-        if dims > 2:
-            redo = np.flatnonzero(np.abs(d2 - s2) <= slack)
-            diffs = rows[first[redo]] - rows[second[redo]]
-            near[redo] = np.einsum("ij,ij->i", diffs, diffs) <= s2
         i, j = order[first[near]], order[second[near]]
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
         lo = hi

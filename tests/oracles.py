@@ -176,15 +176,17 @@ def rips_cliques(points, scale, max_dim):
 def scale_edges_blocked(pts, scale, block_floats=1 << 21):
     """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j).
 
-    The all-pairs pass homology._scale_edges ran before it became a sweep,
-    kept verbatim: each row block meets only the rows from its own start on,
-    the upper triangle, with the squared distances summed by einsum.
+    An all-pairs pass in the shape homology._scale_edges had before it
+    became a sweep: each row block meets only the rows from its own start
+    on, the upper triangle, with the squared distances summed axis by axis.
     """
     rows = max(1, block_floats // max(1, pts.shape[0] * pts.shape[1]))
     pairs = [np.empty((2, 0), dtype=int)]
     for start in range(0, pts.shape[0], rows):
         diffs = pts[start : start + rows, None, :] - pts[None, start:, :]
-        d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+        d2 = np.zeros(diffs.shape[:2])
+        for k in range(diffs.shape[2]):
+            d2 += diffs[:, :, k] ** 2
         pairs.append(np.stack(np.nonzero(np.triu(d2 <= scale * scale, 1))) + start)
     return np.concatenate(pairs, axis=1)
 

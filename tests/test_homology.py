@@ -187,6 +187,13 @@ def test_component_count_agreement_rips_vs_linkage():
         from_linkage = betti0_linkage(pts, scale).cluster_count
         assert from_rips == from_linkage
         assert from_linkage == oracles.component_count(pts, scale)
+    # squares added in axis order sum to just above scale**2, so this is no edge on any
+    # numpy build; einsum on a two-lane SIMD build adds them in another order and gets an edge
+    pair = np.array([[0.0, 0.0, 0.0], [0.0625, 3.026798367500305e-09, 0.0625]])
+    scale = 0.08838834764831849
+    assert betti(rips(pair, scale, max_dim=1)).betti[0] == 2
+    assert betti0_linkage(pair, scale).cluster_count == 2
+    assert oracles.component_count(pair, scale) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,8 +257,7 @@ def assert_same_edges(pts, scale):
         (np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0625], [0.0625, 0.0], [0.125, 0.0], [0.0625, 0.0]]), 0.0625),
         # an edge, though the second point lies past nextafter(x + scale): the window needs slack in ulps of x
         (np.array([[-0.06250625], [-6.249999999995842e-06]]), 1 / 16),
-        # einsum may add these three squares in another order than axis by axis (it does
-        # on two-lane SIMD builds), and then the two sums straddle scale**2
+        # a pair within an ulp of the scale: both sides add its three squares axis by axis
         (np.array([[0.0, 0.0, 0.0], [0.0625, 3.026798367500305e-09, 0.0625]]), 0.08838834764831849),
         (1e3 + np.array([[0.0, 0.0], [0.01, 0.0], [-0.01, 0.0], [0.005, 0.005], [0.02, 0.0]]), 1e-2),
     ],
