@@ -114,6 +114,7 @@ def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
         near = d2 <= s2
         i, j = order[first[near]], order[second[near]]
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        del first, second, d, d2, near, i, j  # else the last block stays alive through the closing sort
         lo = hi
     return np.stack(np.divmod(np.sort(np.concatenate(keys)), n))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import SampleSet, SpherePack, sphere_surface_measure
 from .homology import BettiProfile
-from .occupancy import _check_recurrence_work, _occupied_counts_laws, empty_count_distribution, summarize
+from .occupancy import _recurrence, empty_count_distribution, summarize
 
 # The scan confirms a candidate whose float risk is at most epsilon * (1 + _SCREEN_MARGIN),
 # or epsilon + _SCREEN_FLOOR where larger: near float underflow relative error means nothing.
@@ -165,46 +165,27 @@ def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
     )
 
 
-def _stepper(m: int) -> Callable[[int], np.ndarray]:
-    """law(n): the m-bin throw-recurrence state after n throws, for n that never falls.
-
-    Each call steps the recurrence only as far as its n, so a law that is
-    never asked for past some n is never stepped past it.
-    """
-    laws = enumerate(_occupied_counts_laws(m))
-    stepped, state = -1, None
-
-    def law(n: int) -> np.ndarray:
-        nonlocal stepped, state
-        while stepped < n:
-            stepped, state = next(laws)
-        return state
-
-    return law
-
-
 def _first_passing_size(m: int, epsilon: float, sizes: Iterable[int]) -> int | None:
     """First n in sizes with exact_lrt_risk(m, n).total <= epsilon, or None.
 
-    The m-bin throw recurrence steps through n, and the (m-1)-bin one only as
-    far as _tails reads it; the float risk of each candidate, _tails of the
-    reversed states, screens out every n above the _SCREEN_MARGIN limit.
-    Float and exact risks agree to 3.4e-12 for m up to 2000 on all routes,
-    bit for bit where both laws take the recurrence, so no passing n is
-    dropped and exact_lrt_risk decides the rest: O(m * n_epsilon) flops, as a
-    rule one exact call, one work check.
+    The m-bin law of the router's throw recurrence steps through n, and the
+    (m-1)-bin one only as far as _tails reads it, both under the router's
+    work limit; the float risk of each candidate, _tails of the two laws,
+    screens out every n above the _SCREEN_MARGIN limit.  Float and exact
+    risks agree to 3.4e-12 for m up to 2000 on all routes, bit for bit where
+    both laws take the recurrence, so no passing n is dropped and
+    exact_lrt_risk decides the rest: O(m * n_epsilon) flops, as a rule one
+    exact call.
     """
     if m < 2:
         raise ValueError("the deletion mixture needs at least two spheres")
     limit = epsilon + max(_SCREEN_MARGIN * epsilon, _SCREEN_FLOOR)
-    null_law, deleted_law = _stepper(m), _stepper(m - 1)
+    null_law, deleted_law = _recurrence(m), _recurrence(m - 1)
     for n in sizes:
         if n < 0:
             raise ValueError("sample size must be >= 0")
-        _check_recurrence_work(m, n)
-        # state[j] holds P(j occupied), so reversed it is indexed by empty count;
         # floor(t) only falls as n grows, so once it is 0 the (m-1)-bin law stops stepping
-        type_i, type_ii = _tails(_k_threshold(m, n), null_law(n)[::-1], lambda: deleted_law(n)[::-1])
+        type_i, type_ii = _tails(_k_threshold(m, n), null_law(n), lambda: deleted_law(n))
         if type_i + type_ii <= limit and exact_lrt_risk(m, n).total <= epsilon:
             return n
     return None

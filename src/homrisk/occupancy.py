@@ -18,16 +18,16 @@ below m log m at large m, where cancellation exceeds float precision)
 runs a one-throw-at-a-time recurrence on the occupied-bin count, which
 has only positive coefficients and so cannot cancel at all; it refuses
 problems above _RECURRENCE_WORK bin updates instead of running for hours.
-The recurrence is one stepper that yields the law after every throw: the
-router reads its n-th state, and the sample-complexity scan beside
-exact_lrt_risk steps two laws through n, both under one work check.
+That recurrence has one home, _recurrence(m): its law(n) makes the work
+check, steps forward to n and returns the law by empty count.  The router
+asks it for one n; the sample-complexity scan beside exact_lrt_risk asks
+the m- and (m-1)-bin laws for every candidate n in turn.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -158,32 +158,38 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
     return math.exp(min(peak + math.log(s), 0.0))
 
 
-def _check_recurrence_work(m: int, n: int) -> None:
-    if m * n > _RECURRENCE_WORK:
-        raise ValueError(
-            f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
-        )
+def _recurrence(m: int) -> Callable[[int], np.ndarray]:
+    """law(n): P(K = k), index k = 0..m, after n throws into m bins, for n that never falls.
 
-
-def _occupied_counts_laws(m: int) -> Iterator[np.ndarray]:
-    """P(exactly j bins occupied), index j = 0..m, after 0, 1, 2, ... throws.
-
-    One forward Markov step per throw: a ball lands in an occupied bin
-    with probability j/m or opens a new one.  Every coefficient is
-    positive, so this route is immune to the cancellation that limits
-    the series routes; each step costs O(m) flops.  Every yielded array
-    is a fresh one, so callers may keep it.
+    One forward Markov step per throw on the occupied-bin count j: a ball
+    lands in an occupied bin with probability j/m or opens a new one.  Every
+    coefficient is positive, so this route is immune to the cancellation that
+    limits the series routes; each step costs O(m) flops.  Each call refuses
+    m*n above _RECURRENCE_WORK, then steps only as far as its n, so a law
+    never asked for past some n is never stepped past it.  The result is a
+    reversed view of the occupied-count state, so indexed by empty count;
+    each step builds a fresh state, so callers may keep it.
     """
-    state = np.zeros(m + 1)
-    state[0] = 1.0
     j = np.arange(m + 1, dtype=float)
     stay = j / m
     enter = (m - j + 1.0) / m  # entry into level j from j-1
-    while True:
-        yield state
-        nxt = state * stay
-        nxt[1:] += state[:-1] * enter[1:]
-        state = nxt
+    state = np.zeros(m + 1)
+    state[0] = 1.0
+    stepped = 0
+
+    def law(n: int) -> np.ndarray:
+        nonlocal state, stepped
+        if m * n > _RECURRENCE_WORK:
+            raise ValueError(
+                f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
+            )
+        while stepped < n:
+            nxt = state * stay
+            nxt[1:] += state[:-1] * enter[1:]
+            state, stepped = nxt, stepped + 1
+        return state[::-1]
+
+    return law
 
 
 def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
@@ -232,8 +238,7 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
         for k in kv[bound >= _LOG_UNDERFLOW].tolist():
             probs[k] = _empty_exactly_log(lf, log_pow, m, k)
     else:
-        _check_recurrence_work(m, n)
-        probs[:k_stop] = next(islice(_occupied_counts_laws(m), n, None))[::-1][:k_stop]
+        probs[:k_stop] = _recurrence(m)(n)[:k_stop]
     return probs
 
 

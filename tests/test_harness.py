@@ -460,17 +460,21 @@ def test_stepped_scan_matches_exact_scan_across_routes(m, epsilon, answer):
 
 def test_scan_steps_the_deletion_law_only_while_floor_t_is_positive(monkeypatch):
     # floor(64 (63/64)^n) is 0 from n = 265 on, so _tails reads the 63-bin law at n <= 264 only
-    steps = {64: 0, 63: 0}
-    real = harness.lrt._occupied_counts_laws
+    reached = {}
+    real = harness.lrt._recurrence
 
-    def counted(m):
-        for state in real(m):
-            steps[m] += 1
-            yield state
+    def recorded(m):
+        law = real(m)
 
-    monkeypatch.setattr(harness.lrt, "_occupied_counts_laws", counted)
+        def asked(n):
+            reached[m] = max(reached.get(m, -1), n)
+            return law(n)
+
+        return asked
+
+    monkeypatch.setattr(harness.lrt, "_recurrence", recorded)
     assert harness.lrt._first_passing_size(64, 0.25, range(10**9)) == 345
-    assert steps == {64: 346, 63: 265}
+    assert reached == {64: 345, 63: 264}
 
 
 def test_sample_complexity_upper_confidence_path():

@@ -297,6 +297,23 @@ def test_scale_edges_across_many_blocks(monkeypatch):
             assert_same_edges(pts, scale)
 
 
+def test_scale_edges_frees_the_block_before_the_closing_sort(monkeypatch):
+    # every one of the 499500 pairs is an edge, all in one block: the block's
+    # own arrays peak near 8.1 words a pair, and must be gone before the keys
+    # are concatenated, sorted and split, which would otherwise reach 11.1
+    pairs = 1000 * 999 // 2
+    monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8 * pairs)
+    pts = np.linspace(0.0, 0.5, 1000).reshape(-1, 1)
+    tracemalloc.start()
+    try:
+        edges = _scale_edges(pts, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.shape == (2, pairs)
+    assert peak <= 9.5 * 8 * pairs
+
+
 def test_points_without_coordinates_are_one_cluster():
     # with no coordinates every pair is at distance 0, so every pair is an edge
     pts = np.zeros((3, 0))

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -182,10 +181,12 @@ def test_exact_risk_is_the_two_law_tails(m, n):
 @pytest.mark.parametrize("m, n", [(600, 900), (1000, 4216), (2000, 10000)])
 def test_scan_screen_is_the_exact_risk_on_the_recurrence(m, n):
     # m and m - 1 bins both take the throw recurrence here, so the scan's
-    # stepped states, reversed, must give exact_lrt_risk's tails bit for bit
-    null = next(itertools.islice(occupancy._occupied_counts_laws(m), n, None))
-    deleted = next(itertools.islice(occupancy._occupied_counts_laws(m - 1), n, None))
-    screen = homrisk.lrt._tails(homrisk.lrt._k_threshold(m, n), null[::-1], lambda: deleted[::-1])
+    # stepped laws must give exact_lrt_risk's tails bit for bit; the m-bin law
+    # is reached in two calls, the router's in one
+    null_law = occupancy._recurrence(m)
+    null_law(n // 2)
+    null, deleted = null_law(n), occupancy._recurrence(m - 1)(n)
+    screen = homrisk.lrt._tails(homrisk.lrt._k_threshold(m, n), null, lambda: deleted)
     report = exact_lrt_risk(m, n)
     assert screen == (report.type_I, report.type_II)
 
