@@ -2,8 +2,13 @@
 
 The full route builds the scale-r neighborhood (clique) complex and reads
 Betti numbers off boundary ranks over the two-element field.  That blows
-up combinatorially, so it carries dimension and point budgets; the
-component count alone has a cheap route with no budget, vectorised
+up combinatorially, so it carries dimension and point budgets.  When a
+check finds a complex to be the clique complex of its edges, as rips
+builds it, the ranks come from a far smaller core: edges dominated by a
+common neighbour are collapsed away (Boissonnat and Pritam 2020), which
+keeps every Betti number below the top, and the top one follows from the
+simplex counts.  Any other complex is reduced whole.  The component
+count alone has a cheap route with no budget, vectorised
 hook-and-compress labelling over the same scale-graph edge list.  Both
 take that list from one sweep over the points sorted on an axis, which
 tests only the pairs that axis leaves within reach.  A pair is an edge when
@@ -12,8 +17,9 @@ edge set is the same on every numpy build.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -145,23 +151,116 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     if n > max_points:
         raise ValueError(f"{n} points exceed the complex budget of {max_points}")
     first, second = _scale_edges(pts, scale)
-    edges = list(zip(first.tolist(), second.tolist()))
+    return SimplicialComplex(
+        vertex_count=n,
+        simplices=_clique_levels(n, list(zip(first.tolist(), second.tolist())), int(max_dim)),
+        scale=float(scale),
+        max_dim=int(max_dim),
+    )
+
+
+def _clique_levels(n: int, edges: Sequence[tuple[int, int]], max_dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Levels 0..max_dim of the clique complex of n vertices and edges i < j in lexicographic order.
+
+    Each level grows from the one below through upper-neighbour sets: a
+    simplex extends by every vertex above it that neighbours all of its
+    vertices, so each level comes in lexicographic order too.
+    """
     up: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
         up[i].add(j)
-    levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)], edges]
-    for _ in range(2, int(max_dim) + 1):
+    levels: list[Sequence[tuple[int, ...]]] = [[(i,) for i in range(n)], edges]
+    for _ in range(2, max_dim + 1):
         grown: list[tuple[int, ...]] = []
         for simplex in levels[-1]:
             common = up[simplex[0]].intersection(*(up[v] for v in simplex[1:]))
             grown.extend(simplex + (v,) for v in sorted(common))
         levels.append(grown)
-    return SimplicialComplex(
-        vertex_count=n,
-        simplices=tuple(tuple(level) for level in levels),
-        scale=float(scale),
-        max_dim=int(max_dim),
-    )
+    return tuple(tuple(level) for level in levels)
+
+
+def _lexicographic_rows(level: tuple[tuple[int, ...], ...], width: int, n: int) -> np.ndarray | None:
+    """level as a (len, width) array if each simplex is width vertices in range(n)
+    and the simplices are distinct and in increasing lexicographic order, else None."""
+    if set(map(len, level)) - {width}:
+        return None
+    rows = np.fromiter(chain.from_iterable(level), dtype=np.int64, count=width * len(level)).reshape(-1, width)
+    step = np.diff(rows, axis=0)
+    ordered = (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
+    return rows if ordered and ((rows >= 0) & (rows < n)).all() else None
+
+
+def _is_clique_complex(complex_: SimplicialComplex) -> bool:
+    """Whether complex_ is the clique complex of its edges up to max_dim, listed as rips lists it.
+
+    Level 0 must be the vertices in order, and level 1 distinct edges i < j.
+    Each level above must list distinct simplices in lexicographic order,
+    every vertex pair of each an edge, and as many as the graph has cliques
+    of that size, so it lists them all.  The level below counts those as
+    the sum of (up[s0] & up[s1] & ...).bit_count(), with up[i] the bitmask
+    of the neighbours above i.  A complex not closed under faces fails,
+    since one of its simplices is no clique.
+    """
+    n = complex_.vertex_count
+    levels = complex_.simplices
+    if len(levels) < 2 or levels[0] != tuple((i,) for i in range(n)):
+        return False
+    edges = _lexicographic_rows(levels[1], 2, n)
+    if edges is None or not (edges[:, 0] < edges[:, 1]).all():
+        return False
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    up = [0] * n
+    for i, j in levels[1]:
+        up[i] |= 1 << j
+    for q in range(2, len(levels)):
+        rows = _lexicographic_rows(levels[q], q + 1, n)
+        if rows is None or not all(
+            np.isin(rows[:, a] * n + rows[:, b], edge_keys).all() for a, b in combinations(range(q + 1), 2)
+        ):
+            return False
+        cliques = 0
+        for simplex in levels[q - 1]:
+            common = -1
+            for v in simplex:
+                common &= up[v]
+            cliques += common.bit_count()
+        if cliques != len(levels[q]):
+            return False
+    return True
+
+
+def _collapse_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges left when no remaining edge is dominated, in their given order.
+
+    An edge uv is dominated by a vertex w other than u and v when
+    N[u] & N[v] is a subset of N[w], for closed neighbourhoods N held as
+    int bitmasks.  Removing a dominated edge, with every simplex on it, is a
+    collapse of the clique complex (Boissonnat and Pritam, "Edge collapse
+    and persistence of flag complexes", SoCG 2020), so its homotopy type
+    stays.  Each test reads the neighbourhoods left by every removal before
+    it, and passes over the edges repeat until one removes nothing.
+    """
+    nbr = [1 << i for i in range(n)]
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    while True:
+        kept = []
+        for u, v in edges:
+            common = nbr[u] & nbr[v]
+            others = common ^ (1 << u) ^ (1 << v)
+            while others:
+                w = others.bit_length() - 1
+                if common & nbr[w] == common:
+                    nbr[u] ^= 1 << v
+                    nbr[v] ^= 1 << u
+                    break
+                others ^= 1 << w
+            else:
+                kept.append((u, v))
+        if len(kept) == len(edges):
+            return kept
+        edges = kept
 
 
 def _gf2_rank_columns(cols: Iterable[int]) -> int:
@@ -191,25 +290,51 @@ def _boundary_rank(faces: tuple[tuple[int, ...], ...], simplices: tuple[tuple[in
         for s in simplices:
             bits = 0
             for drop in range(len(s)):
-                bits |= 1 << index[s[:drop] + s[drop + 1 :]]
+                face = s[:drop] + s[drop + 1 :]
+                if face not in index:
+                    raise ValueError(f"simplex {s} lacks its face {face}: the complex is not closed under faces")
+                bits |= 1 << index[face]
             yield bits
 
     return _gf2_rank_columns(columns())
 
 
 def betti(complex_: SimplicialComplex) -> BettiProfile:
-    """Betti numbers over GF(2) from boundary ranks.
+    """Betti numbers over GF(2) from boundary ranks of the edge-collapsed core.
 
     beta_q = (#q-simplices) - rank(boundary_q) - rank(boundary_{q+1}),
     with the boundary below dimension zero and above the top dimension
-    both zero.  The Euler characteristic is the alternating simplex-count
-    sum and always equals the alternating Betti sum.
+    both zero.  When the complex is the clique complex of its edges up to
+    max_dim, as rips builds it, the ranks are read off a smaller core:
+    dominated edges are collapsed away (Boissonnat and Pritam 2020), which
+    keeps the homotopy type of the clique complex and so every beta_q below
+    the top, and the core's clique levels up to max_dim are reduced.  The
+    ranks of the complex itself then follow from its simplex counts c_q:
+    r_1 = c_0 - beta_0, r_{q+1} = c_q - r_q - beta_q, and the top entry is
+    c_top - r_top.  Any other complex is its own core.  The Euler
+    characteristic is the alternating simplex-count sum and always equals
+    the alternating Betti sum.
+
+    Raises:
+        ValueError: the complex has other than max_dim + 1 levels, or a
+            simplex lacks one of its faces.
     """
     counts = complex_.simplex_counts
-    ranks = [0, *map(_boundary_rank, complex_.simplices, complex_.simplices[1:]), 0]
-    bettis = tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(complex_.max_dim + 1))
+    top = complex_.max_dim
+    core = complex_.simplices
+    if len(core) != top + 1:
+        raise ValueError(f"complex lists {len(core)} levels of simplices, not max_dim + 1 = {top + 1}")
+    if _is_clique_complex(complex_):
+        n = complex_.vertex_count
+        core = _clique_levels(n, _collapse_edges(n, core[1]), top)
+    ranks = [0, *map(_boundary_rank, core, core[1:])]
+    bettis, rank = [], 0
+    for q in range(top):
+        bettis.append(len(core[q]) - ranks[q] - ranks[q + 1])
+        rank = counts[q] - rank - bettis[q]  # rank of boundary_{q+1} on the complex itself
+    bettis.append(counts[top] - rank)
     euler = sum(c if q % 2 == 0 else -c for q, c in enumerate(counts))
-    return BettiProfile(betti=bettis, euler_characteristic=euler)
+    return BettiProfile(betti=tuple(bettis), euler_characteristic=euler)
 
 
 def betti0_linkage(points, threshold: float) -> ClusterEstimate:

@@ -149,6 +149,16 @@ def boundary_matrix(faces, simplices):
     return mat
 
 
+def betti_numbers(levels):
+    """Betti numbers over GF(2) of a complex given as its levels of sorted vertex tuples.
+
+    Dense boundary matrices over every simplex, ranked by full Gaussian
+    elimination, with no collapse: beta_q = c_q - rank_q - rank_{q+1}.
+    """
+    ranks = [0, *(gf2_rank(boundary_matrix(faces, simplices)) for faces, simplices in zip(levels, levels[1:])), 0]
+    return tuple(len(level) - ranks[q] - ranks[q + 1] for q, level in enumerate(levels))
+
+
 def rips_cliques(points, scale, max_dim):
     """Every (q+1)-subset, q = 0..max_dim, whose pairs all lie within the scale.
 

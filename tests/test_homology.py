@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -100,6 +101,10 @@ def test_rips_simplices_are_sorted_and_face_closed():
                     assert face in seen[q - 1], (simplex, face)
 
 
+def grid(dim, side):
+    return 0.25 * np.indices((side,) * dim).reshape(dim, -1).T
+
+
 def test_rips_matches_brute_force_cliques():
     rng = np.random.default_rng(23)
     clouds = []
@@ -108,15 +113,15 @@ def test_rips_matches_brute_force_cliques():
         clouds.append((pts, float(rng.uniform(0.2, 0.9))))
     # dyadic grids: every distance is exact, so pairs at exactly the scale are in
     for dim, side in ((2, 4), (3, 3), (4, 2)):
-        grid = 0.25 * np.indices((side,) * dim).reshape(dim, -1).T
-        clouds += [(grid, 0.25), (grid, 0.5)]
+        clouds += [(grid(dim, side), 0.25), (grid(dim, side), 0.5)]
     for pts, scale in clouds:
         assert rips(pts, scale, 3).simplices == oracles.rips_cliques(pts, scale, 3)
 
 
 def test_betti_streams_boundary_columns():
     # built as one list, the 24453 triangle columns put betti's traced peak at 12.6 MB;
-    # streamed into the eliminator they leave about 2.3 MB
+    # streamed into the eliminator they left about 2.3 MB, and the collapsed core's
+    # 68 triangle columns, behind the check that reads every triangle, leave about 2.1 MB
     pts = sample(build_pack(2, 3, 1 / 8), Hypothesis.null(), 400, 3).points
     cx = rips(pts, 1 / 8, 2)
     assert cx.simplex_counts == (400, 4889, 24453)
@@ -127,6 +132,108 @@ def test_betti_streams_boundary_columns():
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+def test_betti_matches_the_dense_oracle():
+    rng = np.random.default_rng(37)
+    cases = []
+    for _ in range(60):
+        pts = rng.uniform(size=(int(rng.integers(3, 11)), int(rng.integers(1, 5))))
+        cases.append((pts, float(rng.uniform(0.2, 0.9)), int(rng.integers(1, 4))))
+    # dyadic grids: pairs exactly at the scale are edges
+    for pts in (grid(2, 3), grid(3, 2), grid(1, 6)):
+        for scale in (0.25, math.sqrt(2) / 4, 0.5):
+            cases += [(pts, scale, max_dim) for max_dim in (1, 2, 3)]
+    for pts, scale, max_dim in cases:
+        cx = rips(pts, scale, max_dim)
+        profile = betti(cx)
+        assert profile.betti == oracles.betti_numbers(cx.simplices), (pts.tolist(), scale, max_dim)
+        assert profile.euler_characteristic == sum((-1) ** q * c for q, c in enumerate(cx.simplex_counts))
+
+
+def null_cloud_400():
+    return sample(build_pack(2, 3, 1 / 8), Hypothesis.null(), 400, 3).points
+
+
+def test_betti_of_the_400_point_cloud_is_the_full_reduction():
+    # values from the reduction of the whole complex, before betti collapsed it
+    pts = null_cloud_400()
+    assert betti(rips(pts, 1 / 8, 2)) == homology.BettiProfile((4, 0, 19960), 19964)
+    assert betti(rips(pts, 1 / 8, 3)) == homology.BettiProfile((4, 0, 1, 51660), -51655)
+
+
+def test_betti_reduces_the_collapsed_core(monkeypatch):
+    handed = []
+
+    def counting_rank(faces, simplices):
+        handed.append(len(simplices))
+        return _boundary_rank(faces, simplices)
+
+    monkeypatch.setattr(homology, "_boundary_rank", counting_rank)
+    cx = rips(null_cloud_400(), 1 / 8, 2)
+    assert cx.simplex_counts[2] == 24453
+    assert betti(cx).betti == (4, 0, 19960)
+    assert len(handed) == 2 and handed[1] < 24453 // 10
+
+
+def vertices(n):
+    return tuple((i,) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "complex_, want",
+    [
+        # hollow triangle and hollow tetrahedron: not clique complexes, so reduced whole
+        (homology.SimplicialComplex(3, (vertices(3), ((0, 1), (0, 2), (1, 2)), ()), 1.0, 2), (1, 1, 0)),
+        (
+            homology.SimplicialComplex(
+                4,
+                (
+                    vertices(4),
+                    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+                    ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+                    (),
+                ),
+                1.0,
+                3,
+            ),
+            (1, 0, 1, 0),
+        ),
+        # closed under faces and as many triangles as cliques, but one twice and the other missing
+        (
+            homology.SimplicialComplex(
+                5, (vertices(5), ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)), ((0, 1, 2), (0, 1, 2))), 1.0, 2
+            ),
+            (1, 1, 1),
+        ),
+    ],
+)
+def test_betti_of_hand_built_complexes(complex_, want):
+    profile = betti(complex_)
+    assert profile.betti == want
+    assert profile.betti == oracles.betti_numbers(complex_.simplices)
+
+
+@pytest.mark.parametrize(
+    "levels, simplex, face",
+    [
+        ((vertices(3), ((0, 1), (0, 2)), ((0, 1, 2),)), (0, 1, 2), (1, 2)),
+        # as many triangles as the edges have, one clique, but not that one
+        ((vertices(4), ((0, 1), (0, 2), (0, 3), (1, 2)), ((0, 1, 3),)), (0, 1, 3), (1, 3)),
+        # vertex 7 of 4: its pairs, keyed i * 4 + j, would alias the edges (1, 3) and (2, 3)
+        ((vertices(4), ((0, 1), (0, 3), (1, 3), (2, 3)), ((0, 1, 7),)), (0, 1, 7), (1, 7)),
+    ],
+)
+def test_betti_rejects_a_complex_missing_a_face(levels, simplex, face):
+    complex_ = homology.SimplicialComplex(len(levels[0]), levels, 1.0, len(levels) - 1)
+    with pytest.raises(ValueError, match=rf"simplex {re.escape(str(simplex))} lacks its face {re.escape(str(face))}"):
+        betti(complex_)
+
+
+@pytest.mark.parametrize("levels", [(vertices(2),), (vertices(3), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))])
+def test_betti_rejects_levels_that_disagree_with_max_dim(levels):
+    with pytest.raises(ValueError, match=rf"complex lists {len(levels)} levels of simplices, not max_dim \+ 1 = 2"):
+        betti(homology.SimplicialComplex(len(levels[0]), levels, 1.0, 1))
 
 
 def test_gf2_rank_against_full_pivot_oracle():
