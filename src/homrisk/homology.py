@@ -1,25 +1,27 @@
 """Point-cloud homology: neighborhood complexes, GF(2) Betti numbers, clusters.
 
-The full route builds the scale-r neighborhood (clique) complex and reads
-Betti numbers off boundary ranks over the two-element field.  That blows
-up combinatorially, so it carries dimension and point budgets.  When a
-check finds a complex to be the clique complex of its edges, as rips
-builds it, the ranks come from a far smaller core: edges dominated by a
-common neighbour are collapsed away (Boissonnat and Pritam 2020), which
-keeps every Betti number below the top, and the top one follows from the
-simplex counts.  Any other complex is reduced whole.  The component
-count alone has a cheap route with no budget, vectorised
-hook-and-compress labelling over the same scale-graph edge list.  Both
-take that list from one sweep over the points sorted on an axis, which
-tests only the pairs that axis leaves within reach.  A pair is an edge when
-its squares, added in axis order, sum to at most the squared scale, so the
-edge set is the same on every numpy build.
+rips returns the scale-r neighborhood (clique) complex as its vertex count
+and its edge list.  It counts every level at once, by bitmask popcounts
+over the level below, and lists the levels only when they are read.
+betti collapses such a complex directly, with no check: edges dominated
+by a common neighbour are collapsed away (Boissonnat and Pritam 2020),
+which keeps every Betti number below the top, the small core's boundary
+ranks over the two-element field give those, and the top one follows from
+the simplex counts.  A hand-built complex is reduced whole.  Cliques blow
+up combinatorially, so the full route carries dimension and point
+budgets, and no level beyond the simplex budget is listed or walked.  The
+component count alone has a cheap route with no budget, vectorised
+hook-and-compress labelling over the same pairs.  Both take their pairs
+from one sweep over the points sorted on an axis, which tests only the
+pairs that axis leaves within reach.  A pair is an edge when its squares,
+added in axis order, sum to at most the squared scale, so the edge set is
+the same on every numpy build.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from itertools import chain, combinations
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,19 +34,50 @@ DEFAULT_POINT_BUDGET = 2000
 # when every candidate is an edge and six when few are: the neighbour pass's memory cap.
 _BLOCK_FLOATS = 1 << 21
 
+# Most simplices of one level that may be listed, or walked to count the level above (see
+# rips): room for every complex the tests and the benchmark build, while a dense one, up to
+# C(2000, 3) = 1.3e9 triangles under the default point budget, fails at once.
+_SIMPLEX_BUDGET = 10**6
+
+
+class _ListedOnRead:
+    """The simplices field of SimplicialComplex: the levels a hand-built complex is given, or,
+    for one that rips builds (given None), its clique levels, listed on first read and kept."""
+
+    def __get__(self, complex_, owner=None):
+        if complex_ is None:
+            raise AttributeError("simplices")  # nothing at class level, so the field has no default
+        levels = complex_.__dict__["simplices"]
+        if levels is None:
+            levels = _clique_levels(complex_.vertex_count, complex_._edges, complex_.max_dim)[0]
+            complex_.__dict__["simplices"] = levels
+        return levels
+
+    def __set__(self, complex_, levels) -> None:
+        complex_.__dict__["simplices"] = levels
+
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Simplices per dimension 0..max_dim, each a sorted vertex tuple."""
+    """Simplices per dimension 0..max_dim, each a sorted vertex tuple.
+
+    One that rips returns is defined by its vertex count and its edges
+    i < j in lexicographic order (the private _edges): its simplices are
+    the cliques of that graph, listed only when read, and its
+    simplex_counts are popcounts over the level below each.
+    """
 
     vertex_count: int
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    simplices: tuple[tuple[tuple[int, ...], ...], ...] = _ListedOnRead()
     scale: float
     max_dim: int
+    _edges: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def simplex_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.simplices)
+        if self._edges is None:
+            return tuple(len(level) for level in self.simplices)
+        return _clique_levels(self.vertex_count, self._edges, self.max_dim, listed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -82,65 +115,96 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
-    """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j).
+def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The order that sorts pts on axis 0, and the pairs a < b of positions in that order whose
+    points lie within scale, as (2, k) blocks of at most _BLOCK_FLOATS // 8 candidate pairs.
 
     A pair is an edge when its squares, added in axis order, sum to at most
     scale * scale.  That one rule fixes the summation order, so the edge set
     is the same on every numpy build.  A sweep over the points sorted on
     axis 0 (Bentley, Stanat and Williams 1977): each point meets only the
     later points whose axis-0 coordinate lies within scale of its own, plus a
-    few ulps, so that rounding drops no pair the rule accepts.  Candidate
-    pairs run in blocks of at most _BLOCK_FLOATS // 8.
+    few ulps, so that rounding drops no pair the rule accepts.  A point
+    whose window alone exceeds the cap is a block of its own.
     """
     n, dims = pts.shape
     if dims == 0:  # no coordinates: every pair is at distance 0
-        return np.stack(np.triu_indices(n, 1))
+        return np.arange(n), iter([np.stack(np.triu_indices(n, 1))])
     order = np.argsort(pts[:, 0], kind="stable")
     cols = pts[order].T.copy()
     x = cols[0]
     reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
     counts = np.searchsorted(x, reach, side="right") - np.arange(1, n + 1)
     ends = np.cumsum(counts)
-    s2 = scale * scale
-    keys = [np.empty(0, dtype=int)]
-    lo = 0
-    while lo < n:
-        base = ends[lo - 1] if lo else 0
-        # a point whose window alone exceeds the cap is a block of its own
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS // 8, side="right")))
-        per_point = counts[lo:hi]
-        first = np.repeat(np.arange(lo, hi), per_point)
-        second = first + 1 + np.arange(first.size) - np.repeat(ends[lo:hi] - per_point - base, per_point)
-        d = cols[0][first] - cols[0][second]
-        d2 = d * d
-        for col in cols[1:]:
-            d = col[first] - col[second]
-            d2 += d * d
-        near = d2 <= s2
-        i, j = order[first[near]], order[second[near]]
-        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-        del first, second, d, d2, near, i, j  # else the last block stays alive through the closing sort
-        lo = hi
-    return np.stack(np.divmod(np.sort(np.concatenate(keys)), n))
+
+    def blocks() -> Iterator[np.ndarray]:
+        lo = 0
+        while lo < n:
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS // 8, side="right")))
+            yield _near_pairs(cols, lo, counts[lo:hi], scale * scale)
+            lo = hi
+
+    return order, blocks()
+
+
+def _near_pairs(cols: np.ndarray, lo: int, per_point: np.ndarray, s2: float) -> np.ndarray:
+    """Pairs a < b of sorted positions at most sqrt(s2) apart, as a (2, k) array, among the
+    candidates of points lo, lo + 1, ...: point lo + t meets the per_point[t] positions after it.
+    The candidates live only inside this call, so they are freed before the caller goes on."""
+    first = np.repeat(np.arange(lo, lo + per_point.size), per_point)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+    d = cols[0][first] - cols[0][second]
+    d2 = d * d
+    for col in cols[1:]:
+        d = col[first] - col[second]
+        d2 += d * d
+    near = d2 <= s2
+    return np.stack((first[near], second[near]))
+
+
+def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
+    """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j):
+    the sweep's pairs relabelled to row indices and sorted once through the key i * n + j."""
+    n = pts.shape[0]
+    order, blocks = _sweep(pts, scale)
+    keys = [np.minimum(i, j) * n + np.maximum(i, j) for i, j in (order[block] for block in blocks)]
+    return np.stack(np.divmod(np.sort(np.concatenate([np.empty(0, dtype=int), *keys])), n))
+
+
+def _check_budget(q: int, count: int) -> None:
+    if count > _SIMPLEX_BUDGET:
+        raise ValueError(f"level {q} holds {count} simplices, above the simplex budget of {_SIMPLEX_BUDGET}")
 
 
 def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_BUDGET) -> SimplicialComplex:
-    """Neighborhood complex at the given scale.
+    """Neighborhood complex at the given scale, as its vertex count and its edges.
 
     A q-simplex is any (q+1)-subset of points with all pairwise distances
     at or below the scale, so the complex is the clique expansion of the
-    scale graph and is closed under faces by construction.  Levels grow
-    through upper-neighbour sets up[i] = {j > i : i ~ j} (Zomorodian 2010).
+    scale graph and is closed under faces by construction.  The result
+    carries the sorted edges and counts every level at once, by bitmask
+    popcounts over the level below; its simplices are listed only when
+    read.  betti collapses it without a check and without listing any of
+    its levels.
 
     Args:
         points: array-like of shape (n, dim).
         scale: connectivity distance, positive.
-        max_dim: top simplex dimension to enumerate, between 1 and 3.
+        max_dim: top simplex dimension, between 1 and 3.
         max_points: point budget; larger inputs are rejected.
 
     Returns:
         SimplicialComplex with simplices for every dimension 0..max_dim.
+
+    Raises:
+        ValueError: an argument is out of range, or a level that must be
+            listed or walked, the edges and every level below the top,
+            holds more than _SIMPLEX_BUDGET = 10**6 simplices.  Reading
+            simplices lists the top level too, under the same budget.  The
+            budget lies above every level the tests and the benchmark list
+            or walk, the largest being the 88 101 triangles walked to count
+            the 408 729 tetrahedra of the benchmark's cloud at max_dim 3.
     """
     if not 1 <= int(max_dim) <= MAX_COMPLEX_DIM:
         raise ValueError(f"max_dim must lie in 1..{MAX_COMPLEX_DIM}")
@@ -151,82 +215,53 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     if n > max_points:
         raise ValueError(f"{n} points exceed the complex budget of {max_points}")
     first, second = _scale_edges(pts, scale)
-    return SimplicialComplex(
-        vertex_count=n,
-        simplices=_clique_levels(n, list(zip(first.tolist(), second.tolist())), int(max_dim)),
-        scale=float(scale),
-        max_dim=int(max_dim),
-    )
+    _check_budget(1, first.size)
+    edges = tuple(zip(first.tolist(), second.tolist()))
+    complex_ = SimplicialComplex(n, None, float(scale), int(max_dim), _edges=edges)
+    complex_.simplex_counts  # counted now, so a complex beyond the simplex budget fails here
+    return complex_
 
 
-def _clique_levels(n: int, edges: Sequence[tuple[int, int]], max_dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Levels 0..max_dim of the clique complex of n vertices and edges i < j in lexicographic order.
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Each level grows from the one below through upper-neighbour sets: a
-    simplex extends by every vertex above it that neighbours all of its
-    vertices, so each level comes in lexicographic order too.
+
+def _clique_levels(
+    n: int, edges: Sequence[tuple[int, int]], top: int, *, listed: bool = True
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[int, ...]]:
+    """Levels 0..top of the clique complex of n vertices and edges i < j in lexicographic order,
+    and their sizes; without listed, only levels 0 and 1 come back and the rest are only counted.
+
+    Each simplex s carries a bitmask, up[s0] & up[s1] & ..., of the
+    vertices above it that neighbour all of its vertices, with up[i] the
+    neighbours above i.  It extends by each of those in increasing order
+    (Zomorodian 2010), so every level comes in lexicographic order, and the
+    popcounts of its masks add up to the size of the level above, known
+    before that level is listed.  A level that is listed, or walked for its
+    masks to count the level above, may hold at most _SIMPLEX_BUDGET
+    simplices.
     """
-    up: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        up[i].add(j)
-    levels: list[Sequence[tuple[int, ...]]] = [[(i,) for i in range(n)], edges]
-    for _ in range(2, max_dim + 1):
-        grown: list[tuple[int, ...]] = []
-        for simplex in levels[-1]:
-            common = up[simplex[0]].intersection(*(up[v] for v in simplex[1:]))
-            grown.extend(simplex + (v,) for v in sorted(common))
-        levels.append(grown)
-    return tuple(tuple(level) for level in levels)
-
-
-def _lexicographic_rows(level: tuple[tuple[int, ...], ...], width: int, n: int) -> np.ndarray | None:
-    """level as a (len, width) array if each simplex is width vertices in range(n)
-    and the simplices are distinct and in increasing lexicographic order, else None."""
-    if set(map(len, level)) - {width}:
-        return None
-    rows = np.fromiter(chain.from_iterable(level), dtype=np.int64, count=width * len(level)).reshape(-1, width)
-    step = np.diff(rows, axis=0)
-    ordered = (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all()
-    return rows if ordered and ((rows >= 0) & (rows < n)).all() else None
-
-
-def _is_clique_complex(complex_: SimplicialComplex) -> bool:
-    """Whether complex_ is the clique complex of its edges up to max_dim, listed as rips lists it.
-
-    Level 0 must be the vertices in order, and level 1 distinct edges i < j.
-    Each level above must list distinct simplices in lexicographic order,
-    every vertex pair of each an edge, and as many as the graph has cliques
-    of that size, so it lists them all.  The level below counts those as
-    the sum of (up[s0] & up[s1] & ...).bit_count(), with up[i] the bitmask
-    of the neighbours above i.  A complex not closed under faces fails,
-    since one of its simplices is no clique.
-    """
-    n = complex_.vertex_count
-    levels = complex_.simplices
-    if len(levels) < 2 or levels[0] != tuple((i,) for i in range(n)):
-        return False
-    edges = _lexicographic_rows(levels[1], 2, n)
-    if edges is None or not (edges[:, 0] < edges[:, 1]).all():
-        return False
-    edge_keys = edges[:, 0] * n + edges[:, 1]
+    levels = [tuple((i,) for i in range(n)), tuple(edges)]
+    counts = [n, len(edges)]
+    if top == 1:
+        return tuple(levels), tuple(counts)
     up = [0] * n
-    for i, j in levels[1]:
+    for i, j in edges:
         up[i] |= 1 << j
-    for q in range(2, len(levels)):
-        rows = _lexicographic_rows(levels[q], q + 1, n)
-        if rows is None or not all(
-            np.isin(rows[:, a] * n + rows[:, b], edge_keys).all() for a, b in combinations(range(q + 1), 2)
-        ):
-            return False
-        cliques = 0
-        for simplex in levels[q - 1]:
-            common = -1
-            for v in simplex:
-                common &= up[v]
-            cliques += common.bit_count()
-        if cliques != len(levels[q]):
-            return False
-    return True
+    masks = [up[i] & up[j] for i, j in edges]
+    for q in range(2, top + 1):
+        counts.append(sum(mask.bit_count() for mask in masks))
+        if listed or q < top:
+            _check_budget(q, counts[q])
+        if listed:
+            levels.append(tuple(s + (v,) for s, mask in zip(levels[-1], masks) for v in _bits(mask)))
+        if q < top:
+            masks = [mask & up[v] for mask in masks for v in _bits(mask)]
+    return tuple(levels), tuple(counts)
 
 
 def _collapse_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -300,33 +335,35 @@ def _boundary_rank(faces: tuple[tuple[int, ...], ...], simplices: tuple[tuple[in
 
 
 def betti(complex_: SimplicialComplex) -> BettiProfile:
-    """Betti numbers over GF(2) from boundary ranks of the edge-collapsed core.
+    """Betti numbers over GF(2) from boundary ranks of the complex or of its edge-collapsed core.
 
     beta_q = (#q-simplices) - rank(boundary_q) - rank(boundary_{q+1}),
     with the boundary below dimension zero and above the top dimension
-    both zero.  When the complex is the clique complex of its edges up to
-    max_dim, as rips builds it, the ranks are read off a smaller core:
-    dominated edges are collapsed away (Boissonnat and Pritam 2020), which
-    keeps the homotopy type of the clique complex and so every beta_q below
-    the top, and the core's clique levels up to max_dim are reduced.  The
-    ranks of the complex itself then follow from its simplex counts c_q:
-    r_1 = c_0 - beta_0, r_{q+1} = c_q - r_q - beta_q, and the top entry is
-    c_top - r_top.  Any other complex is its own core.  The Euler
-    characteristic is the alternating simplex-count sum and always equals
-    the alternating Betti sum.
+    both zero.  A complex that rips returns is collapsed directly, with no
+    check and none of its levels listed: dominated edges are collapsed away
+    (Boissonnat and Pritam 2020), which keeps the homotopy type of the
+    clique complex and so every beta_q below the top, and the core's clique
+    levels up to max_dim are reduced.  The ranks of the complex itself then
+    follow from its simplex counts c_q: r_1 = c_0 - beta_0,
+    r_{q+1} = c_q - r_q - beta_q, and the top entry is c_top - r_top.  A
+    hand-built complex is reduced whole.  The Euler characteristic is the
+    alternating simplex-count sum and always equals the alternating Betti
+    sum.
 
     Raises:
-        ValueError: the complex has other than max_dim + 1 levels, or a
-            simplex lacks one of its faces.
+        ValueError: a hand-built complex has other than max_dim + 1 levels,
+            or a simplex lacks one of its faces; or a level of the core
+            exceeds the simplex budget.
     """
     counts = complex_.simplex_counts
     top = complex_.max_dim
-    core = complex_.simplices
-    if len(core) != top + 1:
-        raise ValueError(f"complex lists {len(core)} levels of simplices, not max_dim + 1 = {top + 1}")
-    if _is_clique_complex(complex_):
+    if complex_._edges is not None:
         n = complex_.vertex_count
-        core = _clique_levels(n, _collapse_edges(n, core[1]), top)
+        core = _clique_levels(n, _collapse_edges(n, complex_._edges), top)[0]
+    else:
+        core = complex_.simplices
+        if len(core) != top + 1:
+            raise ValueError(f"complex lists {len(core)} levels of simplices, not max_dim + 1 = {top + 1}")
     ranks = [0, *map(_boundary_rank, core, core[1:])]
     bettis, rank = [], 0
     for q in range(top):
@@ -340,9 +377,10 @@ def betti(complex_: SimplicialComplex) -> BettiProfile:
 def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     """Component count of the graph with edges at distance <= threshold.
 
-    Vectorised hook-and-compress (Shiloach and Vishkin) over the edge list:
-    each round hooks every root onto the smallest lower root it shares an edge
-    with, then pointer-jumps to stars, until no edge joins two roots.
+    Vectorised hook-and-compress (Shiloach and Vishkin) over the sweep's
+    pairs, left in sorted positions since labels do not change a count:
+    each round hooks every root onto the smallest lower root it shares an
+    edge with, then pointer-jumps to stars, until no edge joins two roots.
     Candidate pairs run in bounded blocks, so memory is the edge list; no point budget.
     """
     if not threshold > 0.0:
@@ -351,7 +389,7 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("no points to cluster")
-    first, second = _scale_edges(pts, threshold)
+    first, second = np.concatenate(list(_sweep(pts, threshold)[1]), axis=1)
     parent = np.arange(n)
     while True:
         root_a, root_b = parent[first], parent[second]

@@ -343,3 +343,12 @@ def test_homology_bad_max_dim_above_point_budget(tmp_path):
     assert proc.returncode == 1
     assert "max_dim must lie in 1..3" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_homology_refuses_a_dense_complex(tmp_path):
+    path = tmp_path / "dense.csv"
+    save_points(path, np.random.default_rng(0).uniform(size=(300, 2)) * 0.01)
+    proc = run_cli("homology", "--input", str(path), "--scale", "1", "--max-dim", "3")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: level 2 holds 4455100 simplices, above the simplex budget of 1000000\n"
+    assert proc.stdout == ""

@@ -1,11 +1,12 @@
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from homrisk import (
@@ -21,7 +22,7 @@ from homrisk import (
     sphere_surface_measure,
 )
 from homrisk import homology
-from homrisk.homology import _boundary_rank, _gf2_rank_columns, _scale_edges
+from homrisk.homology import _boundary_rank, _clique_levels, _gf2_rank_columns, _scale_edges
 
 
 def circle_points(count, radius=1.0, center=(0.0, 0.0)):
@@ -121,7 +122,7 @@ def test_rips_matches_brute_force_cliques():
 def test_betti_streams_boundary_columns():
     # built as one list, the 24453 triangle columns put betti's traced peak at 12.6 MB;
     # streamed into the eliminator they left about 2.3 MB, and the collapsed core's
-    # 68 triangle columns, behind the check that reads every triangle, leave about 2.1 MB
+    # 68 triangle columns, with no level of the complex itself listed, leave about 0.2 MB
     pts = sample(build_pack(2, 3, 1 / 8), Hypothesis.null(), 400, 3).points
     cx = rips(pts, 1 / 8, 2)
     assert cx.simplex_counts == (400, 4889, 24453)
@@ -178,6 +179,83 @@ def test_betti_reduces_the_collapsed_core(monkeypatch):
 
 def vertices(n):
     return tuple((i,) for i in range(n))
+
+
+def test_betti_never_lists_the_complex_it_reads(monkeypatch):
+    largest = []  # the largest level of each listing
+
+    def recording_levels(n, edges, top, listed=True):
+        levels, counts = _clique_levels(n, edges, top, listed=listed)
+        if listed:
+            largest.append(max(map(len, levels)))
+        return levels, counts
+
+    monkeypatch.setattr(homology, "_clique_levels", recording_levels)
+    cx = rips(null_cloud_400(), 1 / 8, 3)
+    assert cx.simplex_counts == (400, 4889, 24453, 71619)
+    assert betti(cx).betti == (4, 0, 1, 51660)
+    # only the collapsed core is listed, never the 71619 tetrahedra nor the 24453 triangles
+    assert largest and max(largest) < 4889
+    listings = len(largest)
+    assert len(cx.simplices[3]) == 71619 and cx.simplices is cx.simplices  # listed on first read, then kept
+    assert len(largest) == listings + 1 and largest[-1] == 71619
+
+
+def test_rips_and_hand_built_complexes_agree_with_the_oracle(monkeypatch):
+    collapses = []
+    collapse = homology._collapse_edges
+    monkeypatch.setattr(homology, "_collapse_edges", lambda n, edges: collapses.append(n) or collapse(n, edges))
+    rng = np.random.default_rng(43)
+    for _ in range(90):
+        pts = rng.uniform(size=(int(rng.integers(1, 12)), int(rng.integers(1, 4))))
+        scale = float(rng.uniform(0.2, 0.9))
+        max_dim = int(rng.integers(1, 4))
+        from_edges = betti(rips(pts, scale, max_dim))  # read before any level is listed
+        cx = rips(pts, scale, max_dim)
+        levels = oracles.rips_cliques(pts, scale, max_dim)
+        assert cx.simplices == levels
+        assert cx.simplex_counts == tuple(map(len, levels))
+        hand = homology.SimplicialComplex(cx.vertex_count, levels, cx.scale, cx.max_dim)
+        assert hand == cx
+        before = len(collapses)
+        assert betti(hand) == from_edges
+        assert len(collapses) == before  # a hand-built complex is reduced whole
+        assert from_edges.betti == oracles.betti_numbers(levels), (pts.tolist(), scale, max_dim)
+    assert len(collapses) == 90
+
+
+def dense_square(n):
+    return np.random.default_rng(5).uniform(size=(n, 2)) * 0.01
+
+
+@pytest.mark.parametrize(
+    "n, max_dim, message",
+    [
+        (300, 3, "level 2 holds 4455100 simplices, above the simplex budget of 1000000"),
+        (2000, 1, "level 1 holds 1999000 simplices, above the simplex budget of 1000000"),
+    ],
+)
+def test_rips_refuses_a_dense_complex_at_once(n, max_dim, message):
+    pts = dense_square(n)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        rips(pts, 1.0, max_dim)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_simplex_budget_binds_levels_that_are_listed_or_walked(monkeypatch):
+    monkeypatch.setattr(homology, "_SIMPLEX_BUDGET", 15)
+    pts = dense_square(6)  # the full simplex on six vertices: 6, 15, 20, 15 simplices
+    cx = rips(pts, 1.0, 2)  # the 20 triangles are counted, neither listed nor walked
+    assert cx.simplex_counts == (6, 15, 20)
+    assert betti(cx).betti == (1, 0, 10)
+    with pytest.raises(ValueError, match="level 2 holds 20 simplices, above the simplex budget of 15"):
+        cx.simplices
+    with pytest.raises(ValueError, match="level 2 holds 20 simplices, above the simplex budget of 15"):
+        rips(pts, 1.0, 3)  # walked to count the tetrahedra
+    monkeypatch.setattr(homology, "_SIMPLEX_BUDGET", 14)
+    with pytest.raises(ValueError, match="level 1 holds 15 simplices, above the simplex budget of 14"):
+        rips(pts, 1.0, 1)
 
 
 @pytest.mark.parametrize(
@@ -390,6 +468,32 @@ def clouds(draw):
 @given(cloud=clouds())
 def test_scale_edges_match_the_blocked_pass(cloud):
     assert_same_edges(*cloud)
+
+
+@pytest.mark.parametrize(
+    "pts, scale, want",
+    [
+        # ties on axis 0: a column spaced at the scale with a gap, and a second column,
+        # one of whose points lies in reach of the first column and one not
+        (np.array([[0.5, 0.0], [0.5, 0.25], [0.5, 0.5], [0.5, 1.0], [0.5, 1.25], [0.75, 0.0], [0.75, 1.5]]), 0.25, 3),
+        # duplicate points, alone and beside others
+        (np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 1.0], [3.0, 1.0], [3.0, 1.0], [1.0, 1.5]]), 0.5, 2),
+        (np.array([[0.3, -0.2, 0.1]]), 0.5, 1),  # n = 1
+        (np.random.default_rng(47).uniform(size=(60, 3)), 2.0, 1),  # every pair within the scale
+        # every first coordinate equal, so sweep positions are the input order
+        (np.column_stack([np.zeros(12), np.random.default_rng(53).permutation(12) * 0.5]), 0.4, 12),
+    ],
+)
+def test_linkage_on_sweep_positions_at_ties(pts, scale, want):
+    assert betti0_linkage(pts, scale).cluster_count == oracles.component_count(pts, scale) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloud=clouds())
+def test_linkage_matches_the_oracle_on_clouds_with_ties(cloud):
+    pts, scale = cloud
+    assume(pts.shape[0] > 0)
+    assert betti0_linkage(pts, scale).cluster_count == oracles.component_count(pts, scale)
 
 
 def test_scale_edges_across_many_blocks(monkeypatch):
