@@ -261,14 +261,17 @@ def density_floor(pack: SpherePack) -> float:
     return 1.0 / pack.total_volume
 
 
-def _draw_spheres(
-    pack: SpherePack, hypothesis: Hypothesis, n: int, rng: np.random.Generator
+def _draw_kept(
+    pack: SpherePack, hypothesis: Hypothesis, n: int, rng: np.random.Generator, low: int = 0
 ) -> tuple[np.ndarray, int | None]:
-    """Removed-index draw (mixture only) followed by n sphere choices.
+    """Removed-index draw (mixture only), then n raw choices among the kept spheres.
 
-    This is the leading segment of the sample() stream; keeping it in one
-    place is what lets index-only consumers agree bitwise with full point
-    synthesis.
+    This is the leading segment of the sample() stream, and the one place
+    that fixes its order; keeping it here is what lets index-only consumers
+    agree bitwise with full point synthesis.  Choice c in [0, kept), kept =
+    m, or m - 1 once a sphere is removed, comes back as low + c: the offset
+    is part of the bounded draw, which numpy makes as low plus a draw
+    below kept.  _sphere_labels turns choices at low = 0 into sphere indices.
     """
     m = pack.count
     removed: int | None = None
@@ -278,14 +281,19 @@ def _draw_spheres(
         removed = int(hypothesis.index)
     elif hypothesis.kind == "mixture":
         removed = int(rng.integers(1, m + 1))
-    if removed is None:
-        return rng.integers(0, m, size=n), None
-    if m < 2:
+    if removed is not None and m < 2:
         raise ValueError("deleting a sphere requires at least two spheres")
-    # Index c of the m - 1 kept spheres names sphere c below the removed one
-    # and c + 1 from it on: np.delete(np.arange(m), removed - 1)[c].
-    chosen = rng.integers(0, m - 1, size=n)
-    return chosen + (chosen >= removed - 1), removed
+    kept = m if removed is None else m - 1
+    return rng.integers(low, low + kept, size=n), removed
+
+
+def _sphere_labels(chosen: np.ndarray, removed: int | None) -> np.ndarray:
+    """0-based sphere index of each raw choice among the kept spheres.
+
+    Index c of the m - 1 kept spheres names sphere c below the removed one
+    and c + 1 from it on: np.delete(np.arange(m), removed - 1)[c].
+    """
+    return chosen if removed is None else chosen + (chosen >= removed - 1)
 
 
 def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Generator:
@@ -319,8 +327,8 @@ def sample_assignments(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: i
     """
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    spheres, _ = _draw_spheres(pack, hypothesis, n, _keyed(seed))
-    return spheres
+    chosen, removed = _draw_kept(pack, hypothesis, n, _keyed(seed))
+    return _sphere_labels(chosen, removed)
 
 
 def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> SampleSet:
@@ -336,7 +344,8 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
     if n < 0:
         raise ValueError("sample size must be >= 0")
     rng = _keyed(seed)
-    spheres, removed = _draw_spheres(pack, hypothesis, n, rng)
+    chosen, removed = _draw_kept(pack, hypothesis, n, rng)
+    spheres = _sphere_labels(chosen, removed)
     d = pack.intrinsic_dim
     gauss = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(gauss, axis=1)

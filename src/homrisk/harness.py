@@ -4,9 +4,14 @@ A trial batch runs the configured test on fresh draws under the full pack
 and under a random-deletion mixture, with one substream per (trial,
 side), so totals never depend on execution order.  A side hashes its
 trial seeds in blocks and re-keys one generator per trial, which draws
-exactly what a generator built from each seed would.  Measured risk here
-is always over the constructed pack pair of hypotheses, not a worst case
-over anything larger.
+exactly what a generator built from each seed would.  The two count tests
+read only the empty-sphere count, so a side draws each trial's sphere
+choices once, at the largest sample size it needs, and reads every size
+off that one draw: the first n choices of a longer draw are a draw of n.
+Rows of trials are tallied in blocks of at most _DRAW_BUFFER choices, and
+a side refuses more than _MAX_DRAWS choices before drawing any.  Measured
+risk here is always over the constructed pack pair of hypotheses, not a
+worst case over anything larger.
 """
 from __future__ import annotations
 
@@ -31,6 +36,12 @@ _SEED_BLOCK = 1024
 
 # Trial indices are hashed as uint32 lanes; past this they would wrap and reuse substreams.
 _MAX_TRIALS = 1 << 32
+
+# Most sphere choices one block of count-test draws holds: 2**16 int64s, 0.5 MB.
+_DRAW_BUFFER = 1 << 16
+
+# Most sphere choices a side draws, trials times the largest sample size.
+_MAX_DRAWS = 1 << 32
 
 # Risk values outside this band are dropped before rate fitting: below it
 # Monte Carlo noise dominates, above it the flat cap regime bends the line.
@@ -124,19 +135,30 @@ def _trial_seeds(master_seed: int, trials: int, stream_code: int) -> Iterator[in
 
 
 def _increasing_sizes(n_values: Sequence[int], empty_message: str) -> Sequence[int]:
-    """n_values as ints, checked non-empty and strictly increasing; a range is kept lazy."""
+    """n_values as ints, checked non-empty, non-negative and strictly increasing; a range is kept lazy."""
     if isinstance(n_values, range):
         if not n_values:
             raise ValueError(empty_message)
         if len(n_values) > 1 and n_values.step < 0:
             raise ValueError("sample sizes must be strictly increasing")
-        return n_values
-    sizes = [int(n) for n in n_values]
-    if not sizes:
-        raise ValueError(empty_message)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sample sizes must be strictly increasing")
+        sizes = n_values
+    else:
+        sizes = [int(n) for n in n_values]
+        if not sizes:
+            raise ValueError(empty_message)
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError("sample sizes must be strictly increasing")
+    if sizes[0] < 0:
+        raise ValueError("sample size must be >= 0")
     return sizes
+
+
+def _check_draws(trials: int, n: int) -> None:
+    """Refuse a side of more than _MAX_DRAWS sphere choices before drawing any."""
+    if trials * n > _MAX_DRAWS:
+        raise ValueError(
+            f"{trials} trials at n = {n} draw {trials * n} sphere choices a side, above the limit of {_MAX_DRAWS}"
+        )
 
 
 def _build(config: TrialConfig) -> SpherePack:
@@ -149,32 +171,112 @@ def _estimator_scale(config: TrialConfig, pack: SpherePack) -> float:
     return pack.radius if config.scale is None else float(config.scale)
 
 
-def _side_frequency(
-    config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int, k_reject: float
-) -> float:
-    """Fraction of trials on which the configured test rejects (count tests: k > k_reject)."""
+def _count_rejections(
+    config: TrialConfig,
+    pack: SpherePack,
+    hypothesis: Hypothesis,
+    stream: int,
+    sizes: Sequence[int],
+    k_rejects: Sequence[float],
+) -> list[int]:
+    """Trials whose empty count exceeds k_rejects[j] after sizes[j] draws, for strictly increasing sizes.
+
+    Both count tests are functions of the empty-sphere count alone, so the
+    index-only draw suffices; it shares the stream prefix with sample(),
+    hence decisions match full point synthesis bitwise.  Each trial draws
+    once, at the largest size: on a keyed Philox stream the first n choices
+    of a longer draw are a draw of n, so one draw is the trial at every
+    size.  Rows of trials fill a block of at most _DRAW_BUFFER choices, row
+    i drawn into [i*kept, (i+1)*kept), and one bincount per span between
+    consecutive sizes adds the span's hits to running per-trial counts.
+    A trial longer than the block is drawn in block-wide pieces, which on
+    the same stream equal one long draw.  A deleted sphere is never drawn,
+    so the tally skips it and counts it as one more empty sphere.
+    """
     m = pack.count
+    kept = m if hypothesis.kind == "null" else m - 1
+    top = sizes[-1]
+    # the cap bounds a block's draws, rows * width, and its per-trial hit counts, rows * kept
+    rows = min(config.trials, max(1, _DRAW_BUFFER // max(top, kept, 1)))
+    width = max(1, min(top, _DRAW_BUFFER))
+    buffer = np.empty((rows, width), dtype=np.int64)
     seeds = _trial_seeds(config.master_seed, config.trials, stream)
+    rejections = [0] * len(sizes)
+    rng = None
+    for start in range(0, config.trials, rows):
+        block = min(rows, config.trials - start)
+        draws = buffer[:block]
+        hits = np.zeros(block * kept, dtype=np.intp)
+        tallied = j = 0
+        for first in range(0, max(top, 1), width):
+            last = min(first + width, top)
+            if first == 0:
+                for i in range(block):
+                    rng = geometry._keyed(next(seeds), rng)
+                    draws[i, :last], _ = geometry._draw_kept(pack, hypothesis, last, rng, low=i * kept)
+            else:  # one trial per block: continue its stream
+                draws[0, : last - first] = rng.integers(0, kept, size=last - first)
+            # tally up to each size in this piece, recording it, then up to the piece's end
+            while tallied < last or (j < len(sizes) and sizes[j] == tallied):
+                stop = min(sizes[j], last)
+                if stop > tallied:
+                    hits += np.bincount(draws[:, tallied - first : stop - first].ravel(), minlength=block * kept)
+                    tallied = stop
+                if tallied == sizes[j]:
+                    empty = np.count_nonzero(hits.reshape(block, kept) == 0, axis=1) + (m - kept)
+                    rejections[j] += int(np.count_nonzero(empty > k_rejects[j]))
+                    j += 1
+    return rejections
+
+
+def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int) -> int:
+    """Trials on which the plug-in test rejects, one full point sample each."""
+    scale = _estimator_scale(config, pack)
     rejections = 0
-    if config.test_kind in ("lrt", "occupancy"):
-        # Both tests are functions of the empty-sphere count alone, so the
-        # index-only draw suffices; it shares the stream prefix with
-        # sample(), hence decisions match full point synthesis bitwise.
-        rng = None
-        for seed in seeds:
-            rng = geometry._keyed(seed, rng)
-            chosen, _ = geometry._draw_spheres(pack, hypothesis, config.n, rng)
-            k = int(np.count_nonzero(np.bincount(chosen, minlength=m) == 0))
-            rejections += k > k_reject
-    else:
-        scale = _estimator_scale(config, pack)
-        for seed in seeds:
-            samples = geometry.sample(pack, hypothesis, config.n, seed)
-            # Budget 0 keeps every trial on the component-count path; the
-            # plug-in decision below only reads the leading Betti number.
-            profile = homology_estimator(pack, samples, scale, point_budget=0)
-            rejections += lrt.test_from_estimator(profile, pack)
-    return rejections / config.trials
+    for seed in _trial_seeds(config.master_seed, config.trials, stream):
+        samples = geometry.sample(pack, hypothesis, config.n, seed)
+        # Budget 0 keeps every trial on the component-count path; the
+        # plug-in decision below only reads the leading Betti number.
+        profile = homology_estimator(pack, samples, scale, point_budget=0)
+        rejections += lrt.test_from_estimator(profile, pack)
+    return rejections
+
+
+def _estimate(
+    rejected_null: int, rejected_mixture: int, trials: int, exact: lrt.ExactRiskReport | None = None
+) -> RiskEstimate:
+    """Both error rates from the rejection counts of the two sides.
+
+    Component standard errors combine in quadrature; exact companions are
+    attached when a report is given.
+    """
+    type1 = rejected_null / trials
+    type2 = 1.0 - rejected_mixture / trials
+    stderr = math.sqrt(type1 * (1.0 - type1) / trials + type2 * (1.0 - type2) / trials)
+    return RiskEstimate(
+        type_I_hat=type1,
+        type_II_hat=type2,
+        risk_hat=type1 + type2,
+        stderr=stderr,
+        trials=trials,
+        exact_type_I=None if exact is None else exact.type_I,
+        exact_type_II=None if exact is None else exact.type_II,
+    )
+
+
+def _count_estimates(
+    config: TrialConfig, pack: SpherePack, sizes: Sequence[int], reports: Sequence[lrt.ExactRiskReport | None]
+) -> list[RiskEstimate]:
+    """mc_risk of a count test at each size, from one draw per trial and side.
+
+    reports[j] is the exact risk at sizes[j] for the likelihood-ratio test,
+    whose trials reject above its k_threshold, and None for the occupancy
+    test, which rejects whenever a sphere is empty.
+    """
+    k_rejects = [0.0 if report is None else report.k_threshold for report in reports]
+    nulls = _count_rejections(config, pack, Hypothesis.null(), _NULL_STREAM, sizes, k_rejects)
+    mixed = _count_rejections(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM, sizes, k_rejects)
+    return [_estimate(a, b, config.trials, report) for a, b, report in zip(nulls, mixed, reports)]
 
 
 def mc_risk(config: TrialConfig) -> RiskEstimate:
@@ -185,65 +287,72 @@ def mc_risk(config: TrialConfig) -> RiskEstimate:
     toward type II).  Component standard errors combine in quadrature.
     Exact companions are attached for the likelihood-ratio test, where
     the occupancy law gives them in closed form; its trials reject on the
-    empty-count threshold the exact risk sums over.
+    empty-count threshold the exact risk sums over.  The count tests tally
+    each trial's sphere choices in blocks of at most _DRAW_BUFFER; a side
+    of more than _MAX_DRAWS choices is refused before any draw.
     """
+    _check_draws(config.trials, config.n)
     pack = _build(config)
-    exact1: float | None = None
-    exact2: float | None = None
-    k_reject = 0.0  # the occupancy test rejects whenever a sphere is empty
-    if config.test_kind == "lrt":
-        report = lrt.exact_lrt_risk(pack.count, config.n)
-        exact1, exact2, k_reject = report.type_I, report.type_II, report.k_threshold
-    type1 = _side_frequency(config, pack, Hypothesis.null(), _NULL_STREAM, k_reject)
-    type2 = 1.0 - _side_frequency(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM, k_reject)
-    stderr = math.sqrt(
-        type1 * (1.0 - type1) / config.trials + type2 * (1.0 - type2) / config.trials
-    )
-    return RiskEstimate(
-        type_I_hat=type1,
-        type_II_hat=type2,
-        risk_hat=type1 + type2,
-        stderr=stderr,
-        trials=config.trials,
-        exact_type_I=exact1,
-        exact_type_II=exact2,
-    )
+    if config.test_kind == "estimator":
+        null = _estimator_rejections(config, pack, Hypothesis.null(), _NULL_STREAM)
+        mixed = _estimator_rejections(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM)
+        return _estimate(null, mixed, config.trials)
+    report = lrt.exact_lrt_risk(pack.count, config.n) if config.test_kind == "lrt" else None
+    (estimate,) = _count_estimates(config, pack, [config.n], [report])
+    return estimate
 
 
 def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...]:
-    """One mc_risk batch per sample size, annotated with exact columns.
+    """One risk estimate per sample size, annotated with exact columns.
 
     Substreams depend only on (master seed, trial, side), so rows share
     random numbers across sample sizes; that common-draw coupling lowers
-    the variance of fitted slopes.  The envelope column uses the config
-    delta, defaulting to 0.5.
+    the variance of fitted slopes.  For the count tests the rows are one
+    draw per trial, made at the largest size and read at every size, so
+    each row equals mc_risk at its size.  The estimator draws every sphere
+    choice before any Gaussian, so a longer sample does not extend a
+    shorter one, and it runs one mc_risk per row.  On likelihood-ratio
+    rows miss_prob is read off the null law the exact columns were summed
+    from.  The envelope column uses the config delta, defaulting to 0.5.
     """
     sizes = _increasing_sizes(n_values, "no sample sizes to sweep")
+    _check_draws(config.trials, sizes[-1])
     pack = _build(config)
+    m = pack.count
     delta = DEFAULT_DELTA if config.delta is None else config.delta
-    rows = []
+    reports, misses = [], []
     for n in sizes:
-        est = mc_risk(replace(config, n=n))
-        rows.append(
-            SweepRow(
-                m=pack.count,
-                n=n,
-                tau=pack.radius,
-                d=pack.intrinsic_dim,
-                D=pack.ambient_dim,
-                trials=config.trials,
-                test_kind=config.test_kind,
-                type1_hat=est.type_I_hat,
-                type2_hat=est.type_II_hat,
-                risk_hat=est.risk_hat,
-                stderr=est.stderr,
-                exact_type1=est.exact_type_I,
-                exact_type2=est.exact_type_II,
-                miss_prob=1.0 - occupancy.prob_all_occupied(pack.count, n),
-                rate_envelope=lrt.risk_lower_bound(n, pack.radius, pack.intrinsic_dim, delta),
-            )
+        if config.test_kind == "lrt":
+            report, null_law = lrt._risk_and_null_law(m, n)
+            reports.append(report)
+            misses.append(1.0 - float(null_law[0]))
+        else:
+            reports.append(None)
+            misses.append(1.0 - occupancy.prob_all_occupied(m, n))
+    if config.test_kind == "estimator":
+        estimates = [mc_risk(replace(config, n=n)) for n in sizes]
+    else:
+        estimates = _count_estimates(config, pack, sizes, reports)
+    return tuple(
+        SweepRow(
+            m=m,
+            n=n,
+            tau=pack.radius,
+            d=pack.intrinsic_dim,
+            D=pack.ambient_dim,
+            trials=config.trials,
+            test_kind=config.test_kind,
+            type1_hat=est.type_I_hat,
+            type2_hat=est.type_II_hat,
+            risk_hat=est.risk_hat,
+            stderr=est.stderr,
+            exact_type1=est.exact_type_I,
+            exact_type2=est.exact_type_II,
+            miss_prob=miss,
+            rate_envelope=lrt.risk_lower_bound(n, pack.radius, pack.intrinsic_dim, delta),
         )
-    return tuple(rows)
+        for n, est, miss in zip(sizes, estimates, misses)
+    )
 
 
 def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[int]) -> int:

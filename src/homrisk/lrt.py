@@ -148,6 +148,11 @@ def _tails(k_threshold: float, null: np.ndarray, deleted: Callable[[], np.ndarra
 
 def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
     """Exact type I and II of the ratio test at (m, n): tails of the m- and (m-1)-bin empty-count laws."""
+    return _risk_and_null_law(m, n)[0]
+
+
+def _risk_and_null_law(m: int, n: int) -> tuple[ExactRiskReport, np.ndarray]:
+    """exact_lrt_risk(m, n) with the m-bin empty-count law its type I is summed from."""
     if m < 2:
         raise ValueError("the deletion mixture needs at least two spheres")
     if n < 0:
@@ -155,7 +160,7 @@ def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
     k_threshold = _k_threshold(m, n)
     null = empty_count_distribution(m, n).probs
     type_i, type_ii = _tails(k_threshold, null, lambda: empty_count_distribution(m - 1, n).probs)
-    return ExactRiskReport(
+    report = ExactRiskReport(
         m=m,
         n=n,
         k_threshold=k_threshold,
@@ -163,6 +168,7 @@ def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
         type_II=type_ii,
         total=type_i + type_ii,
     )
+    return report, null
 
 
 def _first_passing_size(m: int, epsilon: float, sizes: Iterable[int]) -> int | None:

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from homrisk.geometry import sample
+
 
 def compositions(n, m):
     """Yield all tuples (c_1..c_m) of nonnegative ints summing to n."""
@@ -241,6 +243,21 @@ def nearest_centers(points, centers):
                 best, best_d2 = j, d2
         out.append((best, best_d2))
     return out
+
+
+def count_side_rejections(pack, hypothesis, seeds, n, k_reject):
+    """Trials whose empty-sphere count exceeds k_reject, one full point sample per seed.
+
+    Each trial synthesises its n points with geometry.sample, assigns each
+    to its brute-force nearest center and counts the spheres left with no
+    point, so it shares no draw or tally code with the batched count path.
+    """
+    rejections = 0
+    for seed in seeds:
+        points = sample(pack, hypothesis, n, seed).points
+        hit = {best for best, _ in nearest_centers(points, pack.centers)}
+        rejections += pack.count - len(hit) > k_reject
+    return rejections
 
 
 def min_center_distance(centers):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homrisk import CSV_HEADER, cli, geometry, occupancy, save_points
+from homrisk import CSV_HEADER, cli, geometry, harness, occupancy, save_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -254,6 +254,27 @@ def test_complexity_beyond_scan_limit_fails_fast(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"above the limit of {64 * 300}" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "risk-mc --d 1 --D 2 --tau 0.00390625 --n 311 --trials 10000 --seed 2013 --test lrt",
+        "risk-mc --d 1 --D 2 --tau 0.00390625 --n 311 --trials 10000 --seed 2013 --test occupancy",
+        "sweep --d 1 --D 2 --tau 0.00390625 --n-min 200 --n-max 600 --n-step 25 --trials 200 "
+        "--seed 5 --test lrt --delta 0.5 --out sweep.csv",
+    ],
+)
+def test_monte_carlo_beyond_draw_limit_fails_fast(argv, tmp_path, monkeypatch, capsys):
+    # the README's Monte Carlo commands draw more than 10**5 sphere choices a side
+    monkeypatch.setattr(harness, "_MAX_DRAWS", 10**5)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"above the limit of {10**5}" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def readme_commands():

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,37 @@ def test_rekeyed_generator_draws_like_a_fresh_one(seeds, m, n):
         assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3))
 
 
+def test_philox_draws_extend_and_split_golden():
+    # The count path reads every sample size off one draw per trial, drawn in
+    # block-wide pieces with the row offset inside the bounded draw; these are
+    # the Generator.integers properties it relies on, pinned on this stream.
+    seed = trial_seed(2013, 3, 1)
+    assert geometry._keyed(seed).integers(0, 64, size=8).tolist() == [30, 20, 12, 14, 26, 59, 8, 9]
+    rng = geometry._keyed(seed)
+    assert rng.integers(1, 65) == 31
+    assert rng.integers(0, 63, size=8).tolist() == [19, 12, 14, 25, 58, 8, 9, 10]
+    shifted = {1: [5] * 6, 63: [344, 334, 327, 329, 340, 373], 64: [350, 340, 332, 334, 346, 379],
+               1023: [5599, 5436, 5313, 5353, 5533, 6067], 1024: [5605, 5441, 5318, 5358, 5538, 6073]}
+    for bins, values in shifted.items():
+        assert geometry._keyed(seed).integers(5 * bins, 6 * bins, size=6).tolist() == values
+    for master, bins in itertools.product((0, 2013, 2**40 + 5), (1, 2, 63, 64, 1023, 1024, 5000)):
+        key = trial_seed(master, bins, 0)
+        whole = geometry._keyed(key).integers(0, bins, size=600)
+        for n in (0, 1, 7, 311, 599):
+            assert np.array_equal(geometry._keyed(key).integers(0, bins, size=n), whole[:n])
+        for scalar in (False, True):  # a mixture draws its removed index first
+            rng, one = geometry._keyed(key), geometry._keyed(key)
+            if scalar:
+                assert rng.integers(1, bins + 2) == one.integers(1, bins + 2)
+            split = np.concatenate([rng.integers(0, bins, size=311), rng.integers(0, bins, size=289)])
+            assert np.array_equal(split, one.integers(0, bins, size=600))
+        for low in (0, 1, 7 * bins, 1023 * bins):
+            assert np.array_equal(
+                geometry._keyed(key).integers(low, low + bins, size=97),
+                low + geometry._keyed(key).integers(0, bins, size=97),
+            )
+
+
 def test_mc_risk_occupancy_two_spheres():
     # exact type I of the any-empty rule at (m=2, n=3) is 1/4; the mixture
     # side always leaves a sphere empty, so type II is exactly zero
@@ -194,6 +226,83 @@ def test_index_path_matches_full_synthesis():
                 assert est.type_II_hat == 1.0 - rejections / config.trials, test_kind
 
 
+# (pack, sizes): m = 2, m = 4 with few draws, so the last kept sphere of a
+# mixture is often empty, and m = 64; sizes gapped and from 0.
+COUNT_CASES = st.sampled_from([(M2, 12), (M4, 10), (M64, 90)]).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.lists(st.integers(0, case[1]), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=COUNT_CASES,
+    test_kind=st.sampled_from(["lrt", "occupancy"]),
+    trials=st.integers(1, 9),
+    buffer=st.sampled_from([8, 64, 200, 1 << 16]),
+    seed=st.integers(0, 2**32),
+)
+def test_count_sweep_matches_per_size_oracle(case, test_kind, trials, buffer, seed):
+    # small buffers put a few trials in each block, or split one trial into pieces
+    shape, sizes = case
+    pack = build_pack(**shape)
+    assume(test_kind == "occupancy" or pack.count >= 2)
+    config = TrialConfig(**shape, n=0, trials=trials, master_seed=seed, test_kind=test_kind)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_DRAW_BUFFER", buffer)
+        rows = sweep_n(config, sizes)
+        est = mc_risk(replace(config, n=sizes[-1]))
+    assert (est.type_I_hat, est.type_II_hat, est.stderr) == (rows[-1].type1_hat, rows[-1].type2_hat, rows[-1].stderr)
+    for row in rows:
+        k_reject = exact_lrt_risk(pack.count, row.n).k_threshold if test_kind == "lrt" else 0.0
+        rates = []
+        for stream, hyp in ((0, Hypothesis.null()), (1, Hypothesis.mixture())):
+            seeds = [trial_seed(seed, t, stream) for t in range(trials)]
+            rates.append(oracles.count_side_rejections(pack, hyp, seeds, row.n, k_reject) / trials)
+        assert (row.type1_hat, row.type2_hat) == (rates[0], 1.0 - rates[1]), row.n
+
+
+def test_count_sides_refuse_a_one_sphere_mixture():
+    one = dict(intrinsic_dim=1, ambient_dim=2, radius=0.2)
+    assert build_pack(**one).count == 1
+    for test_kind in ("lrt", "occupancy"):
+        config = TrialConfig(**one, n=3, trials=5, master_seed=1, test_kind=test_kind)
+        with pytest.raises(ValueError, match="at least two spheres"):
+            mc_risk(config)
+        with pytest.raises(ValueError, match="at least two spheres"):
+            sweep_n(config, [0, 3])
+
+
+def test_count_path_memory_is_bounded():
+    # at m = 1024, n = 7808 a block of every trial would hold 800 * 7808 choices, 50 MB
+    config = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=1 / 4096, n=7808, trials=800, master_seed=1)
+    tracemalloc.start()
+    try:
+        mc_risk(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_draw_limit_refuses_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the draw limit was checked")
+
+    monkeypatch.setattr(geometry, "_draw_kept", no_draws)
+    monkeypatch.setattr(harness, "_MAX_DRAWS", 1000)
+    for test_kind in harness.TEST_KINDS:
+        config = TrialConfig(**M64, n=101, trials=10, master_seed=1, test_kind=test_kind)
+        with pytest.raises(ValueError, match="above the limit of 1000"):
+            mc_risk(config)
+        with pytest.raises(ValueError, match="above the limit of 1000"):
+            sweep_n(config, [10, 101])
+        with pytest.raises(ValueError, match="above the limit of 1000"):
+            sample_complexity(replace(config, test_kind="occupancy"), 0.5, [101, 202])
+
+
 def test_mc_risk_is_reproducible():
     config = TrialConfig(**M4, n=30, trials=500, master_seed=5, test_kind="occupancy")
     assert mc_risk(config) == mc_risk(config)
@@ -241,6 +350,20 @@ def test_sweep_shapes_and_columns():
         )
     misses = [r.miss_prob for r in rows]
     assert all(b <= a for a, b in zip(misses, misses[1:]))
+
+
+README_SIZES = range(200, 601, 25)
+
+
+def test_lrt_miss_prob_is_entry_zero_of_the_null_law():
+    # sweep rows read miss_prob off the law their exact columns came from
+    pairs = [(64, n) for n in README_SIZES] + [(2, 5), (256, 1500), (513, 1850), (1000, 7601), (4096, 36909)]
+    for m, n in pairs:
+        law = occupancy.empty_count_distribution(m, n).probs
+        assert prob_all_occupied(m, n).hex() == float(law[0]).hex(), (m, n)
+    config = TrialConfig(**M64, n=0, trials=3, master_seed=5, test_kind="lrt")
+    for row in sweep_n(config, README_SIZES):
+        assert row.miss_prob == 1.0 - prob_all_occupied(64, row.n)
 
 
 def test_sweep_rejects_disordered_sizes():
