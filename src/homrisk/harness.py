@@ -16,7 +16,8 @@ worst case over anything larger.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+import operator
+from dataclasses import astuple, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -71,6 +72,8 @@ class TrialConfig:
     delta: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "sample size"))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         if self.test_kind not in TEST_KINDS:
             raise ValueError(f"test_kind must be one of {TEST_KINDS}, got {self.test_kind!r}")
         if self.trials < 1:
@@ -122,6 +125,14 @@ class RateFit(NamedTuple):
     intercept: float
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a numpy integer passes, a float, even a whole one, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def trial_seed(master_seed: int, trial_index: int, stream_code: int) -> int:
     """Substream seed for one trial side; fixed scheme, see module docs."""
     return derive_seed(master_seed, trial_index, stream_code)
@@ -136,18 +147,12 @@ def _trial_seeds(master_seed: int, trials: int, stream_code: int) -> Iterator[in
 
 def _increasing_sizes(n_values: Sequence[int], empty_message: str) -> Sequence[int]:
     """n_values as ints, checked non-empty, non-negative and strictly increasing; a range is kept lazy."""
-    if isinstance(n_values, range):
-        if not n_values:
-            raise ValueError(empty_message)
-        if len(n_values) > 1 and n_values.step < 0:
-            raise ValueError("sample sizes must be strictly increasing")
-        sizes = n_values
-    else:
-        sizes = [int(n) for n in n_values]
-        if not sizes:
-            raise ValueError(empty_message)
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("sample sizes must be strictly increasing")
+    lazy = isinstance(n_values, range)
+    sizes = n_values if lazy else [_integer(n, "sample size") for n in n_values]
+    if not sizes:
+        raise ValueError(empty_message)
+    if len(sizes) > 1 and (sizes.step < 0 if lazy else any(b <= a for a, b in zip(sizes, sizes[1:]))):
+        raise ValueError("sample sizes must be strictly increasing")
     if sizes[0] < 0:
         raise ValueError("sample size must be >= 0")
     return sizes
@@ -163,12 +168,6 @@ def _check_draws(trials: int, n: int) -> None:
 
 def _build(config: TrialConfig) -> SpherePack:
     return geometry.build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
-
-
-def _estimator_scale(config: TrialConfig, pack: SpherePack) -> float:
-    # The pack radius separates spheres while keeping within-sphere links;
-    # callers may override anywhere in (0, 2*radius).
-    return pack.radius if config.scale is None else float(config.scale)
 
 
 def _count_rejections(
@@ -229,12 +228,14 @@ def _count_rejections(
     return rejections
 
 
-def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int) -> int:
-    """Trials on which the plug-in test rejects, one full point sample each."""
-    scale = _estimator_scale(config, pack)
+def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int, n: int) -> int:
+    """Trials on which the plug-in test rejects, one full point sample of size n each."""
+    # The pack radius separates spheres while keeping within-sphere links;
+    # callers may override anywhere in (0, 2*radius).
+    scale = pack.radius if config.scale is None else float(config.scale)
     rejections = 0
     for seed in _trial_seeds(config.master_seed, config.trials, stream):
-        samples = geometry.sample(pack, hypothesis, config.n, seed)
+        samples = geometry.sample(pack, hypothesis, n, seed)
         # Budget 0 keeps every trial on the component-count path; the
         # plug-in decision below only reads the leading Betti number.
         profile = homology_estimator(pack, samples, scale, point_budget=0)
@@ -264,18 +265,22 @@ def _estimate(
     )
 
 
-def _count_estimates(
+def _estimates(
     config: TrialConfig, pack: SpherePack, sizes: Sequence[int], reports: Sequence[lrt.ExactRiskReport | None]
 ) -> list[RiskEstimate]:
-    """mc_risk of a count test at each size, from one draw per trial and side.
+    """mc_risk of the configured test at each of the strictly increasing sizes.
 
     reports[j] is the exact risk at sizes[j] for the likelihood-ratio test,
-    whose trials reject above its k_threshold, and None for the occupancy
-    test, which rejects whenever a sphere is empty.
+    whose trials reject above its k_threshold, else None.  The count tests
+    read every size off one draw per trial and side, and the estimator
+    draws its trials afresh at each size.
     """
-    k_rejects = [0.0 if report is None else report.k_threshold for report in reports]
-    nulls = _count_rejections(config, pack, Hypothesis.null(), _NULL_STREAM, sizes, k_rejects)
-    mixed = _count_rejections(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM, sizes, k_rejects)
+    sides = ((Hypothesis.null(), _NULL_STREAM), (Hypothesis.mixture(), _MIXTURE_STREAM))
+    if config.test_kind == "estimator":
+        nulls, mixed = ([_estimator_rejections(config, pack, *side, n) for n in sizes] for side in sides)
+    else:
+        k_rejects = [0.0 if report is None else report.k_threshold for report in reports]
+        nulls, mixed = (_count_rejections(config, pack, *side, sizes, k_rejects) for side in sides)
     return [_estimate(a, b, config.trials, report) for a, b, report in zip(nulls, mixed, reports)]
 
 
@@ -293,12 +298,8 @@ def mc_risk(config: TrialConfig) -> RiskEstimate:
     """
     _check_draws(config.trials, config.n)
     pack = _build(config)
-    if config.test_kind == "estimator":
-        null = _estimator_rejections(config, pack, Hypothesis.null(), _NULL_STREAM)
-        mixed = _estimator_rejections(config, pack, Hypothesis.mixture(), _MIXTURE_STREAM)
-        return _estimate(null, mixed, config.trials)
     report = lrt.exact_lrt_risk(pack.count, config.n) if config.test_kind == "lrt" else None
-    (estimate,) = _count_estimates(config, pack, [config.n], [report])
+    (estimate,) = _estimates(config, pack, [config.n], [report])
     return estimate
 
 
@@ -311,7 +312,7 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
     draw per trial, made at the largest size and read at every size, so
     each row equals mc_risk at its size.  The estimator draws every sphere
     choice before any Gaussian, so a longer sample does not extend a
-    shorter one, and it runs one mc_risk per row.  On likelihood-ratio
+    shorter one, and it draws each row afresh.  On likelihood-ratio
     rows miss_prob is read off the null law the exact columns were summed
     from.  The envelope column uses the config delta, defaulting to 0.5.
     """
@@ -329,10 +330,7 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
         else:
             reports.append(None)
             misses.append(1.0 - occupancy.prob_all_occupied(m, n))
-    if config.test_kind == "estimator":
-        estimates = [mc_risk(replace(config, n=n)) for n in sizes]
-    else:
-        estimates = _count_estimates(config, pack, sizes, reports)
+    estimates = _estimates(config, pack, sizes, reports)
     return tuple(
         SweepRow(
             m=m,
@@ -374,7 +372,8 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
             return found
     else:
         for n in sizes:
-            est = mc_risk(replace(config, n=n))
+            _check_draws(config.trials, n)
+            (est,) = _estimates(config, pack, [n], [None])
             if est.risk_hat + 2.0 * est.stderr <= epsilon:
                 return n
     raise ValueError(

@@ -1,8 +1,9 @@
 """Point-cloud homology: neighborhood complexes, GF(2) Betti numbers, clusters.
 
-rips returns the scale-r neighborhood (clique) complex as its vertex count
-and its edge list.  It counts every level at once, by bitmask popcounts
-over the level below, and lists the levels only when they are read.
+rips returns the scale-r neighborhood (clique) complex as a RipsComplex,
+its vertex count and its edge list.  It counts every level at once, by
+bitmask popcounts over the level below, and lists the levels only when
+they are read.
 betti collapses such a complex directly, with no check: edges dominated
 by a common neighbour are collapsed away (Boissonnat and Pritam 2020),
 which keeps every Betti number below the top, the small core's boundary
@@ -40,44 +41,39 @@ _BLOCK_FLOATS = 1 << 21
 _SIMPLEX_BUDGET = 10**6
 
 
-class _ListedOnRead:
-    """The simplices field of SimplicialComplex: the levels a hand-built complex is given, or,
-    for one that rips builds (given None), its clique levels, listed on first read and kept."""
+@dataclass(frozen=True)
+class SimplicialComplex:
+    """Simplices per dimension 0..max_dim, each a sorted vertex tuple, as given; betti reduces it whole."""
 
-    def __get__(self, complex_, owner=None):
-        if complex_ is None:
-            raise AttributeError("simplices")  # nothing at class level, so the field has no default
-        levels = complex_.__dict__["simplices"]
-        if levels is None:
-            levels = _clique_levels(complex_.vertex_count, complex_._edges, complex_.max_dim)[0]
-            complex_.__dict__["simplices"] = levels
-        return levels
+    vertex_count: int
+    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    scale: float
+    max_dim: int
 
-    def __set__(self, complex_, levels) -> None:
-        complex_.__dict__["simplices"] = levels
+    @property
+    def simplex_counts(self) -> tuple[int, ...]:
+        return tuple(len(level) for level in self.simplices)
 
 
 @dataclass(frozen=True)
-class SimplicialComplex:
-    """Simplices per dimension 0..max_dim, each a sorted vertex tuple.
-
-    One that rips returns is defined by its vertex count and its edges
-    i < j in lexicographic order (the private _edges): its simplices are
-    the cliques of that graph, listed only when read, and its
-    simplex_counts are popcounts over the level below each.
-    """
+class RipsComplex:
+    """The clique complex up to max_dim of the graph on vertex_count vertices and edges i < j in
+    lexicographic order, as rips returns it.  == compares its edges and repr leaves them out, so
+    neither reads a level.  simplices lists the levels and simplex_counts counts them, by popcounts
+    over the level below, each on first read, and both are kept."""
 
     vertex_count: int
-    simplices: tuple[tuple[tuple[int, ...], ...], ...] = _ListedOnRead()
+    edges: tuple[tuple[int, int], ...] = field(repr=False)
     scale: float
     max_dim: int
-    _edges: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return _clique_levels(self.vertex_count, self.edges, self.max_dim)[0]
 
     @cached_property
     def simplex_counts(self) -> tuple[int, ...]:
-        if self._edges is None:
-            return tuple(len(level) for level in self.simplices)
-        return _clique_levels(self.vertex_count, self._edges, self.max_dim, listed=False)[1]
+        return _clique_levels(self.vertex_count, self.edges, self.max_dim, listed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ def _check_budget(q: int, count: int) -> None:
         raise ValueError(f"level {q} holds {count} simplices, above the simplex budget of {_SIMPLEX_BUDGET}")
 
 
-def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_BUDGET) -> SimplicialComplex:
+def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_BUDGET) -> RipsComplex:
     """Neighborhood complex at the given scale, as its vertex count and its edges.
 
     A q-simplex is any (q+1)-subset of points with all pairwise distances
@@ -195,7 +191,7 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
         max_points: point budget; larger inputs are rejected.
 
     Returns:
-        SimplicialComplex with simplices for every dimension 0..max_dim.
+        RipsComplex with simplices for every dimension 0..max_dim.
 
     Raises:
         ValueError: an argument is out of range, or a level that must be
@@ -217,7 +213,7 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     first, second = _scale_edges(pts, scale)
     _check_budget(1, first.size)
     edges = tuple(zip(first.tolist(), second.tolist()))
-    complex_ = SimplicialComplex(n, None, float(scale), int(max_dim), _edges=edges)
+    complex_ = RipsComplex(n, edges, float(scale), int(max_dim))
     complex_.simplex_counts  # counted now, so a complex beyond the simplex budget fails here
     return complex_
 
@@ -334,19 +330,19 @@ def _boundary_rank(faces: tuple[tuple[int, ...], ...], simplices: tuple[tuple[in
     return _gf2_rank_columns(columns())
 
 
-def betti(complex_: SimplicialComplex) -> BettiProfile:
+def betti(complex_: SimplicialComplex | RipsComplex) -> BettiProfile:
     """Betti numbers over GF(2) from boundary ranks of the complex or of its edge-collapsed core.
 
     beta_q = (#q-simplices) - rank(boundary_q) - rank(boundary_{q+1}),
     with the boundary below dimension zero and above the top dimension
-    both zero.  A complex that rips returns is collapsed directly, with no
+    both zero.  A RipsComplex, which rips returns, is collapsed directly, with no
     check and none of its levels listed: dominated edges are collapsed away
     (Boissonnat and Pritam 2020), which keeps the homotopy type of the
     clique complex and so every beta_q below the top, and the core's clique
     levels up to max_dim are reduced.  The ranks of the complex itself then
     follow from its simplex counts c_q: r_1 = c_0 - beta_0,
     r_{q+1} = c_q - r_q - beta_q, and the top entry is c_top - r_top.  A
-    hand-built complex is reduced whole.  The Euler characteristic is the
+    hand-built SimplicialComplex is reduced whole.  The Euler characteristic is the
     alternating simplex-count sum and always equals the alternating Betti
     sum.
 
@@ -357,9 +353,9 @@ def betti(complex_: SimplicialComplex) -> BettiProfile:
     """
     counts = complex_.simplex_counts
     top = complex_.max_dim
-    if complex_._edges is not None:
+    if isinstance(complex_, RipsComplex):
         n = complex_.vertex_count
-        core = _clique_levels(n, _collapse_edges(n, complex_._edges), top)[0]
+        core = _clique_levels(n, _collapse_edges(n, complex_.edges), top)[0]
     else:
         core = complex_.simplices
         if len(core) != top + 1:

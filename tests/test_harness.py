@@ -376,6 +376,37 @@ def test_sweep_rejects_disordered_sizes():
         sweep_n(config, [])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sweep_n(TrialConfig(**M2, n=1, trials=10, master_seed=9), [2.5, 3.7]), "sample size .* got 2.5"),
+        (lambda: TrialConfig(**M2, n=2.5, trials=10, master_seed=9), "sample size .* got 2.5"),
+        (lambda: TrialConfig(**M2, n=2, trials=2.5, master_seed=9), "trials .* got 2.5"),
+    ],
+    ids=["sweep-sizes", "config-n", "config-trials"],
+)
+def test_non_integral_sizes_and_trials_are_refused(call, message):
+    with pytest.raises(TypeError, match=rf"{message}$"):
+        call()
+
+
+def test_numpy_integer_sizes_and_trials_are_read_as_ints():
+    config = TrialConfig(**M2, n=np.int64(5), trials=np.uint16(10), master_seed=9)
+    assert type(config.n) is int and type(config.trials) is int
+    assert mc_risk(config) == mc_risk(replace(config, n=5, trials=10))
+    assert [row.n for row in sweep_n(config, np.array([2, 5]))] == [2, 5]
+    with pytest.raises(TypeError, match="sample size must be an integer, got 3.0"):
+        sweep_n(config, [2, 3.0])  # even a whole float
+
+
+def test_estimator_sweep_rows_equal_mc_risk_at_each_size():
+    config = TrialConfig(**M4, n=0, trials=30, master_seed=23, test_kind="estimator", scale=1 / 16)
+    for row in sweep_n(config, [10, 40]):
+        est = mc_risk(replace(config, n=row.n))
+        assert (row.type1_hat, row.type2_hat, row.stderr) == (est.type_I_hat, est.type_II_hat, est.stderr)
+        assert row.exact_type1 is None and row.exact_type2 is None
+
+
 def test_sweep_respects_delta_for_envelope():
     config = TrialConfig(**M2, n=1, trials=10, master_seed=9, delta=0.05)
     (row,) = sweep_n(config, [4])

@@ -216,12 +216,57 @@ def test_rips_and_hand_built_complexes_agree_with_the_oracle(monkeypatch):
         assert cx.simplices == levels
         assert cx.simplex_counts == tuple(map(len, levels))
         hand = homology.SimplicialComplex(cx.vertex_count, levels, cx.scale, cx.max_dim)
-        assert hand == cx
+        assert hand.simplices == cx.simplices
         before = len(collapses)
         assert betti(hand) == from_edges
         assert len(collapses) == before  # a hand-built complex is reduced whole
         assert from_edges.betti == oracles.betti_numbers(levels), (pts.tolist(), scale, max_dim)
     assert len(collapses) == 90
+
+
+def test_repr_and_eq_of_a_rips_complex_list_no_level(monkeypatch):
+    listings = []  # the listed flag of each call
+
+    def recording_levels(n, edges, top, listed=True):
+        listings.append(listed)
+        return _clique_levels(n, edges, top, listed=listed)
+
+    monkeypatch.setattr(homology, "_clique_levels", recording_levels)
+    pts = np.random.default_rng(0).uniform(0, 0.01, (200, 2))
+    cx = rips(pts, 1.0, 2)  # 1 313 400 triangles, above the simplex budget: counted, never listed
+    assert cx.simplex_counts == (200, 19900, 1313400)
+    assert repr(cx) == "RipsComplex(vertex_count=200, scale=1.0, max_dim=2)"
+    again = rips(pts, 1.0, 2)
+    assert cx == cx and cx == again and hash(cx) == hash(again)
+    assert cx != homology.RipsComplex(200, cx.edges[:-1], 1.0, 2)  # compared by its edges
+    assert listings == [False, False]  # one count per rips call, no listing
+    with pytest.raises(ValueError, match="level 2 holds 1313400 simplices, above the simplex budget"):
+        cx.simplices
+
+
+def test_a_hand_built_complex_compares_and_prints_its_simplices():
+    levels = (vertices(3), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
+    hand = homology.SimplicialComplex(3, levels, 1.0, 2)
+    assert hand == homology.SimplicialComplex(3, levels, 1.0, 2)
+    assert hash(hand) == hash(homology.SimplicialComplex(3, levels, 1.0, 2))
+    assert hand != homology.SimplicialComplex(3, levels[:2] + ((),), 1.0, 2)
+    assert hand.simplex_counts == (3, 3, 1)
+    assert repr(hand) == (
+        "SimplicialComplex(vertex_count=3, simplices=(((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),)), "
+        "scale=1.0, max_dim=2)"
+    )
+    # the same levels from rips are another type, compared by their edges
+    cx = rips([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 1.5, 2)
+    assert (cx.vertex_count, cx.simplices, cx.scale, cx.max_dim) == (3, levels, 1.5, 2)
+    assert cx != homology.SimplicialComplex(3, levels, 1.5, 2)
+
+
+def test_every_exported_name_resolves():
+    import homrisk
+
+    assert "RipsComplex" in homrisk.__all__ and homrisk.RipsComplex is homology.RipsComplex
+    assert len(set(homrisk.__all__)) == len(homrisk.__all__)
+    assert [name for name in homrisk.__all__ if not hasattr(homrisk, name)] == []
 
 
 def dense_square(n):
