@@ -38,6 +38,9 @@ _SEED_BLOCK = 1024
 # Trial indices are hashed as uint32 lanes; past this they would wrap and reuse substreams.
 _MAX_TRIALS = 1 << 32
 
+# Master seeds are hashed mod 2**64; outside 0..2**64-1 two seeds would share every substream.
+_MAX_SEED = (1 << 64) - 1
+
 # Most sphere choices one block of count-test draws holds: 2**16 int64s, 0.5 MB.
 _DRAW_BUFFER = 1 << 16
 
@@ -74,6 +77,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n, "sample size"))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master seed"))
         if self.test_kind not in TEST_KINDS:
             raise ValueError(f"test_kind must be one of {TEST_KINDS}, got {self.test_kind!r}")
         if self.trials < 1:
@@ -82,6 +86,8 @@ class TrialConfig:
             raise ValueError(f"trials {self.trials} above the limit of {_MAX_TRIALS} substreams per side")
         if self.n < 0:
             raise ValueError("sample size must be >= 0")
+        if not 0 <= self.master_seed <= _MAX_SEED:
+            raise ValueError(f"master seed {self.master_seed} outside 0..{_MAX_SEED}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 

@@ -15,17 +15,25 @@ lgamma log-factorials of magnitude about m log m.  Its leading term
 bounds each entry, so it sums only the entries that bound keeps above
 float underflow: 156 of 4096 at (4096, 36909).  Everything else (n
 below m log m at large m, where cancellation exceeds float precision)
-runs a one-throw-at-a-time recurrence on the occupied-bin count, which
-has only positive coefficients and so cannot cancel at all; it refuses
-problems above _RECURRENCE_WORK bin updates instead of running for hours.
-That recurrence has one home, _recurrence(m): its law(n) makes the work
-check, steps forward to n and returns the law by empty count.  The router
-asks it for one n; the sample-complexity scan beside exact_lrt_risk asks
-the m- and (m-1)-bin laws for every candidate n in turn.
+runs a one-throw-at-a-time recurrence on the empty-bin count, which has
+only positive coefficients and so cannot cancel at all; it refuses
+problems above _RECURRENCE_WORK bin updates instead of running for minutes.
+It steps only the band of counts whose probability is a normal float:
+P(K = m - j) = C(m, j) j! S(n, j) / m**n is log-concave in j, since the
+Stirling numbers of the second kind S(n, j) are (Harper 1967), so the
+entries below the smallest normal float lie only at the band's two ends.
+Flushing them to 0 spares each step the subnormal arithmetic (slow on
+x86) that was most of its cost: at (2000, 10000) the full state holds
+1000 non-zero entries, 719 of them subnormal, and the band 281.  That
+recurrence has one home, _recurrence(m): its law(n) makes the work check,
+steps forward to n and returns the law by empty count.  The router asks
+it for one n; the sample-complexity scan beside exact_lrt_risk asks the
+m- and (m-1)-bin laws for every candidate n in turn.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,13 +48,18 @@ from .geometry import SampleSet, SpherePack, assign_points
 _EXACT_BINS = 512
 _EXACT_WORK = 2_000_000
 
-# Most m*n bin updates the throw recurrence runs: 6 to 10 s at the 5 to 10 ns per
-# update measured on a 2-core machine ((10**5, 10**4) took 5.4 s, (10000, 64472) 6.2 s).
+# Most m*n bin updates the throw recurrence runs.  A banded step costs about 2 to 3 us
+# plus about 1 ns a band entry, so laws at the limit took 0.1 to 1.9 s on a 2-core
+# machine, 0.1 to 1.7 ns per update: (131072, 8192) 0.11 s, (10**5, 10**4) 0.14 s,
+# (10000, 64472) 0.67 s, (4096, 2**18) 0.79 s, (16384, 2**16) 1.1 s, (1024, 2**20) 1.9 s.
 _RECURRENCE_WORK = 1 << 30
 
 # Log magnitudes below this give math.exp(...) == 0.0 (underflow starts
 # near -745.13), with room for rounding in the log terms.
 _LOG_UNDERFLOW = -760.0
+
+# Smallest normal float (np.finfo(float).tiny); the throw recurrence flushes band ends below it.
+_TINY = sys.float_info.min
 
 
 def _series_is_tame(m: int, n: int) -> bool:
@@ -161,33 +174,73 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
 def _recurrence(m: int) -> Callable[[int], np.ndarray]:
     """law(n): P(K = k), index k = 0..m, after n throws into m bins, for n that never falls.
 
-    One forward Markov step per throw on the occupied-bin count j: a ball
-    lands in an occupied bin with probability j/m or opens a new one.  Every
-    coefficient is positive, so this route is immune to the cancellation that
-    limits the series routes; each step costs O(m) flops.  Each call refuses
-    m*n above _RECURRENCE_WORK, then steps only as far as its n, so a law
-    never asked for past some n is never stepped past it.  The result is a
-    reversed view of the occupied-count state, so indexed by empty count;
-    each step builds a fresh state, so callers may keep it.
+    One forward Markov step per throw on the empty-bin count k: a ball lands
+    in one of the m - k occupied bins with probability (m-k)/m, or fills one
+    of k + 1 empty bins and lowers the count from k + 1 to k.  Every
+    coefficient is positive, so this route is immune to the cancellation
+    that limits the series routes.  Each call refuses m*n above
+    _RECURRENCE_WORK, then steps only as far as its n, so a law never asked
+    for past some n is never stepped past it.
+
+    The law lives in one array by empty count, stepped in place and 0
+    outside the band of counts lo..hi-1.  Only the band is stepped, with the
+    float operations of a full step on each entry, so an entry whose
+    neighbours are unchanged rounds as it would there.  While lo > 0 the
+    band gains count lo - 1 on each step.  After each step every entry at
+    either end below _TINY, the smallest normal float, is flushed to 0 and
+    that end moves inward; once lo = 0 only the top end is checked, as
+    P(K = 0) only rises with n.  A step is a Markov kernel, so it never
+    enlarges an L1 error, and each flush removes less than _TINY: a count
+    leaves from the top once and from the bottom at most once a step, so in
+    exact arithmetic every law lies within (2m + n) * _TINY of the full-state
+    one in L1.  In floats a flush can also flip the last bit of a neighbour,
+    and the flip travels on: at (2000, 5833) an entry of 7.1e-288 moves by
+    one ulp, 1.5e-303, and the L1 distance passes that bound.  No entry of
+    1e-280 or more has moved at any size checked (every n up to m ln m + 3m
+    for m up to 2000, n up to 20000 at m = 5000).  Each call returns a copy,
+    so callers may keep it.
     """
-    j = np.arange(m + 1, dtype=float)
-    stay = j / m
-    enter = (m - j + 1.0) / m  # entry into level j from j-1
+    k = np.arange(m + 1, dtype=float)
+    stay = (m - k) / m
+    fill = (k + 1.0) / m  # from count k + 1 down to k
     state = np.zeros(m + 1)
-    state[0] = 1.0
-    stepped = 0
+    state[m] = 1.0
+    lo, hi, stepped = m, m + 1, 0
+
+    def views() -> tuple[np.ndarray, ...]:
+        # what the next step writes: the band, and below it count lo - 1 while lo > 0
+        start = max(lo - 1, 0)
+        band = state[start:hi]
+        return band, band[1:], band[:-1], stay[start:hi], fill[start : hi - 1]
+
+    parts = views()
 
     def law(n: int) -> np.ndarray:
-        nonlocal state, stepped
+        nonlocal lo, hi, stepped, parts
         if m * n > _RECURRENCE_WORK:
             raise ValueError(
                 f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
             )
         while stepped < n:
-            nxt = state * stay
-            nxt[1:] += state[:-1] * enter[1:]
-            state, stepped = nxt, stepped + 1
-        return state[::-1]
+            band, upper, lower, stay_b, fill_b = parts
+            filled = upper * fill_b
+            band *= stay_b
+            lower += filled
+            stepped += 1
+            grow = lo > 0
+            if band[-1] < _TINY or (grow and band[0] < _TINY):
+                kept = np.flatnonzero(band >= _TINY)
+                first, last = int(kept[0]), int(kept[-1])
+                band[:first] = 0.0
+                band[last + 1 :] = 0.0
+                start = max(lo - 1, 0)
+                lo, hi = start + first, start + last + 1
+            elif grow:
+                lo -= 1
+            else:
+                continue  # same band, same views
+            parts = views()
+        return state.copy()
 
     return law
 

@@ -72,6 +72,32 @@ def empty_count_numerators(m, n):
     return s[::-1]
 
 
+def full_throw_recurrence(m):
+    """law(n) for n that never falls: the float throw recurrence on all m + 1 occupied levels.
+
+    Each entry takes the same float operations as in the package's banded
+    stepper, a product by the stay probability plus a product by the entry
+    probability, but every level is stepped, subnormal entries included;
+    the result is indexed by empty count.
+    """
+    j = np.arange(m + 1, dtype=float)
+    stay = j / m
+    enter = (m - j + 1.0) / m
+    state = np.zeros(m + 1)
+    state[0] = 1.0
+    stepped = 0
+
+    def law(n):
+        nonlocal state, stepped
+        while stepped < n:
+            nxt = state * stay
+            nxt[1:] += state[:-1] * enter[1:]
+            state, stepped = nxt, stepped + 1
+        return state[::-1]
+
+    return law
+
+
 def all_occupied_prob(m, n):
     return empty_count_law(m, n)[0]
 

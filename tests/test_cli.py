@@ -277,6 +277,14 @@ def test_monte_carlo_beyond_draw_limit_fails_fast(argv, tmp_path, monkeypatch, c
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_risk_mc_refuses_a_negative_seed(capsys):
+    argv = "risk-mc --d 1 --D 2 --tau 0.15 --n 3 --trials 50 --seed -1 --test lrt".split()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: master seed -1 outside 0..{2**64 - 1}\n"
+
+
 def readme_commands():
     """Each `homrisk ...` line of the README's command-line block, continuations joined."""
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

@@ -399,6 +399,24 @@ def test_numpy_integer_sizes_and_trials_are_read_as_ints():
         sweep_n(config, [2, 3.0])  # even a whole float
 
 
+def test_master_seed_must_be_an_integer():
+    # a float seed used to be truncated, so 2, 2.5 and 2.9 shared every substream
+    for seed in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError, match=rf"master seed must be an integer, got {seed!r}$"):
+            TrialConfig(**M2, n=3, trials=10, master_seed=seed)
+    config = TrialConfig(**M2, n=3, trials=10, master_seed=np.uint64(2))
+    assert type(config.master_seed) is int
+    assert mc_risk(config) == mc_risk(replace(config, master_seed=2))
+
+
+def test_master_seed_outside_the_hash_range_is_refused():
+    # seeds are hashed mod 2**64, so -1 and 2**64 used to alias 2**64 - 1 and 0
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ValueError, match=rf"master seed {seed} outside 0\.\.{2**64 - 1}$"):
+            TrialConfig(**M2, n=3, trials=10, master_seed=seed)
+    assert mc_risk(TrialConfig(**M2, n=3, trials=50, master_seed=2**64 - 1)).trials == 50
+
+
 def test_estimator_sweep_rows_equal_mc_risk_at_each_size():
     config = TrialConfig(**M4, n=0, trials=30, master_seed=23, test_kind="estimator", scale=1 / 16)
     for row in sweep_n(config, [10, 40]):

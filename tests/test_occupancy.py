@@ -14,6 +14,7 @@ from homrisk import (
     coupon_limit,
     empty_count_distribution,
     exact_lrt_risk,
+    lrt,
     occupancy,
     prob_all_occupied,
     sample,
@@ -92,7 +93,7 @@ def test_validation_errors():
 
 
 def test_recurrence_beyond_work_limit_fails_fast():
-    # 10**13 bin updates would run about 16 hours; 2**15 * (2**15 + 1) is just over the limit
+    # 10**13 bin updates would step 10**7 times, for minutes; 2**15 * (2**15 + 1) is just over the limit
     for call, m, n in (
         (prob_all_occupied, 10**6, 10**7),
         (exact_lrt_risk, 10**6, 10**7),
@@ -102,6 +103,69 @@ def test_recurrence_beyond_work_limit_fails_fast():
         with pytest.raises(ValueError, match="above the limit of 1073741824"):
             call(m, n)
         assert time.perf_counter() - start < 1.0
+
+
+TINY = np.finfo(float).tiny
+
+
+def _assert_band_matches_full_recurrence(m, n, law, full, deleted, full_deleted):
+    # the band flushes only entries below the smallest normal float, so the law
+    # moves only far below 1e-280 and keeps no subnormal; (2m + n) tiny bounds the
+    # move in exact arithmetic and holds at these sizes, though a one-ulp flip of a
+    # neighbour can pass it in floats (an entry of 7.1e-288 at (2000, 5833))
+    got, ref = law(n), full(n)
+    big = ref >= 1e-280
+    assert got[big].tobytes() == ref[big].tobytes(), (m, n)
+    assert np.all(got[~big] < 1e-280), (m, n)
+    assert np.abs(got - ref).sum() <= (2 * m + n) * TINY, (m, n)
+    assert not np.any((got > 0.0) & (got < TINY)), (m, n)
+    if m > 1:
+        t = lrt._k_threshold(m, n)
+        assert lrt._tails(t, got, lambda: deleted(n)) == lrt._tails(t, ref, lambda: full_deleted(n)), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(2000, 10000), (1999, 10000), (5000, 20000), (64, 345), (513, 1850)])
+def test_banded_recurrence_matches_full_recurrence(m, n):
+    _assert_band_matches_full_recurrence(
+        m, n, occupancy._recurrence(m), oracles.full_throw_recurrence(m),
+        occupancy._recurrence(m - 1), oracles.full_throw_recurrence(m - 1),
+    )
+
+
+def test_banded_recurrence_matches_full_recurrence_at_every_size_for_small_bins():
+    # one stepper per m, asked for every n up to 3 m ln m in turn
+    for m in range(2, 8):
+        laws = occupancy._recurrence(m), oracles.full_throw_recurrence(m)
+        deleted = occupancy._recurrence(m - 1), oracles.full_throw_recurrence(m - 1)
+        for n in range(int(3 * m * math.log(m)) + 1):
+            _assert_band_matches_full_recurrence(m, n, *laws, *deleted)
+
+
+def test_recurrence_route_golden_values():
+    # float hex of the recurrence route as the full-array stepper printed it
+    assert prob_all_occupied(2000, 10000).hex() == "0x1.2138e43695c03p-20"
+    assert prob_all_occupied(1999, 10000).hex() == "0x1.2d91c3a818a76p-20"
+    for (m, n), type_i, type_ii, total in (
+        ((2000, 10000), "0x1.e9c665e19d1b2p-2", "0x1.a8c583698bfa9p-2", "0x1.c945f4a5948aep-1"),
+        ((1999, 10000), "0x1.e52ba3a0058f7p-2", "0x1.ad3a4d1eedc97p-2", "0x1.c932f85f79ac7p-1"),
+    ):
+        report = exact_lrt_risk(m, n)
+        assert (report.type_I.hex(), report.type_II.hex(), report.total.hex()) == (type_i, type_ii, total)
+
+
+def test_recurrence_steps_a_narrow_band():
+    # at (2000, 10000) the full state holds 1000 non-zero entries, 719 of them subnormal;
+    # on the way there both ends of the band shed theirs
+    law = occupancy._recurrence(2000)
+    for n in range(500, 10001, 500):
+        probs = law(n)
+        assert not np.any((probs > 0.0) & (probs < TINY)), n
+    assert np.count_nonzero(probs) < 400
+    assert np.count_nonzero(oracles.full_throw_recurrence(2000)(10000)) == 1000
+    # each call returns a fresh full-length array, which later steps leave alone
+    kept = probs.copy()
+    assert law(10000) is not probs and law(10001).shape == (2001,)
+    assert probs.tobytes() == kept.tobytes()
 
 
 def test_distribution_shape_and_support():
