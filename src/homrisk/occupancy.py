@@ -5,15 +5,22 @@ terms can dwarf the result, so evaluation picks one of three routes.
 Small problems run in exact integers without alternating sums: the
 surjection counts are the heads of one forward-difference table over
 the m + 1 powers i**n, built with about m**2/2 big-integer subtractions,
-and every probability is one correctly rounded division by m**n.  From the
-collection threshold n >= m log m up, the series terms fall off like a
+and every probability is one correctly rounded division by m**n.  P(K = 0)
+alone skips the table: its surjection count is one alternating sum of m + 1
+products over the same powers, 12 ms at (256, 1500) against 42 ms for the
+law.  From the collection threshold n >= m log m up, the series terms fall off like a
 Poisson tail of rate at most one, so a log-magnitude route with
 compensated summation loses at most a digit to cancellation; against
 a 60-digit reference its P(K = 0) is still off by 3.8e-12 at
 (m, n) = (1000, 6908) and 5.7e-11 at (10000, 92104), most likely from
 lgamma log-factorials of magnitude about m log m.  Its leading term
 bounds each entry, so it sums only the entries that bound keeps above
-float underflow: 156 of 4096 at (4096, 36909).  Everything else (n
+float underflow, 156 of 4096 at (4096, 36909), and each entry's series
+only up to term _SERIES_TERMS = 181, past which every term scales to
+exactly 0.0.  Its cost is an O(m) set-up, about 0.3 us a bin of lgamma
+log-factorials, plus about 45 us per entry summed: 8.9 ms for the law at
+(4096, 36909) and 1.4 ms for P(K = 0), 12 ms and 3.4 ms at (10000, 92104);
+it refuses more than _LOG_BINS bins.  Everything else (n
 below m log m at large m, where cancellation exceeds float precision)
 runs a one-throw-at-a-time recurrence on the empty-bin count, which has
 only positive coefficients and so cannot cancel at all; it refuses
@@ -24,7 +31,8 @@ Stirling numbers of the second kind S(n, j) are (Harper 1967), so the
 entries below the smallest normal float lie only at the band's two ends.
 Flushing them to 0 spares each step the subnormal arithmetic (slow on
 x86) that was most of its cost: at (2000, 10000) the full state holds
-1000 non-zero entries, 719 of them subnormal, and the band 281.  That
+1000 non-zero entries, 719 of them subnormal, and the band 281.  A step
+costs a few us plus about 1 ns a band entry, 0.05 s for that law.  That
 recurrence has one home, _recurrence(m): its law(n) makes the work check,
 steps forward to n and returns the law by empty count.  The router asks
 it for one n; the sample-complexity scan beside exact_lrt_risk asks the
@@ -44,7 +52,7 @@ from .geometry import SampleSet, SpherePack, assign_points
 # Exact-integer route bounds.  A law costs m + 1 powers of about
 # n*log2(m) bits plus the difference table's m**2/2 subtractions of such
 # integers; the corner m = 512, n = 3900 takes about 0.4 s per law on a
-# 2-core machine.
+# 2-core machine, and 0.13 s for P(K = 0), which needs the powers but no table.
 _EXACT_BINS = 512
 _EXACT_WORK = 2_000_000
 
@@ -54,9 +62,21 @@ _EXACT_WORK = 2_000_000
 # (10000, 64472) 0.67 s, (4096, 2**18) 0.79 s, (16384, 2**16) 1.1 s, (1024, 2**20) 1.9 s.
 _RECURRENCE_WORK = 1 << 30
 
+# Most bins the log route serves.  Its cost is the O(m) set-up, mostly the lgamma loop
+# of _log_factorials, plus at most _SERIES_TERMS terms per entry summed, so at
+# n = m ln m + m a call at the limit takes about as long as one at _RECURRENCE_WORK:
+# m = 2**21 took 0.70 s for prob_all_occupied and 1.2 s for the full law (149
+# entries) on a 2-core machine, with a peak RSS of 190 MB.
+_LOG_BINS = 1 << 21
+
 # Log magnitudes below this give math.exp(...) == 0.0 (underflow starts
 # near -745.13), with room for rounding in the log terms.
 _LOG_UNDERFLOW = -760.0
+
+# Last series term the log route sums per entry, 182 terms in all: term j is at
+# most the peak / j!, so from this first j with log j! above -_LOG_UNDERFLOW on,
+# every term scales to exactly 0.0 (_empty_exactly_log).
+_SERIES_TERMS = next(j for j in range(1000) if math.lgamma(j + 1.0) > -_LOG_UNDERFLOW)
 
 # Smallest normal float (np.finfo(float).tiny); the throw recurrence flushes band ends below it.
 _TINY = sys.float_info.min
@@ -156,10 +176,18 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
     """Log-magnitude route for P(K = k); peak-scaled compensated signed sum.
 
     Term j is C(m,k) C(m-k,j) ((m-k-j)/m)**n with sign (-1)**j; lf holds
-    log i! and log_pow holds n log(i/m) for i = 0..m.
+    log i! and log_pow holds n log(i/m) for i = 0..m.  Only the terms
+    j <= _SERIES_TERMS are summed, and the rest would scale to exactly 0.0.
+    With w = m - k, the ratio of term j + 1 to term j is
+    r_j = (w-j)/(j+1) * (1 - 1/(w-j))**n, and x(1 - 1/x)**n increases in x,
+    so r_j <= m(1 - 1/m)**n / (j+1) = lam/(j+1) <= 1/(j+1) on this route
+    (_series_is_tame).  Term 0 is then the peak and term j is at most
+    term 0 / j!, so every dropped term lies below e**-760 of the peak, and
+    np.exp of its scaled log is exactly 0.0 whether it is summed or not.
     """
     w = m - k
-    log_mag = lf[m] - lf[k] - lf[: w + 1] - lf[w::-1] + log_pow[w::-1]
+    j = min(w, _SERIES_TERMS)
+    log_mag = lf[m] - lf[k] - lf[: j + 1] - lf[w - j : w + 1][::-1] + log_pow[w - j : w + 1][::-1]
     peak = float(np.max(log_mag))
     if peak == -math.inf:
         return 0.0
@@ -188,7 +216,10 @@ def _recurrence(m: int) -> Callable[[int], np.ndarray]:
     neighbours are unchanged rounds as it would there.  While lo > 0 the
     band gains count lo - 1 on each step.  After each step every entry at
     either end below _TINY, the smallest normal float, is flushed to 0 and
-    that end moves inward; once lo = 0 only the top end is checked, as
+    that end moves inward, by a walk from each end that stops at its first
+    normal entry, so a flush costs the entries it removes rather than a scan
+    of the band (at (2000, 10000) it runs on 2454 of the 10000 steps and
+    removes one or two); once lo = 0 only the top end is checked, as
     P(K = 0) only rises with n.  A step is a Markov kernel, so it never
     enlarges an L1 error, and each flush removes less than _TINY: a count
     leaves from the top once and from the bottom at most once a step, so in
@@ -229,11 +260,17 @@ def _recurrence(m: int) -> Callable[[int], np.ndarray]:
             stepped += 1
             grow = lo > 0
             if band[-1] < _TINY or (grow and band[0] < _TINY):
-                kept = np.flatnonzero(band >= _TINY)
-                first, last = int(kept[0]), int(kept[-1])
-                band[:first] = 0.0
-                band[last + 1 :] = 0.0
+                # walk each end inward, flushing, to its first normal entry
+                first, last = 0, len(band) - 1
+                while band[first] < _TINY:
+                    band[first] = 0.0
+                    first += 1
+                while band[last] < _TINY:
+                    band[last] = 0.0
+                    last -= 1
                 start = max(lo - 1, 0)
+                if (lo, hi) == (start + first, start + last + 1):
+                    continue  # only the new count lo - 1 was flushed
                 lo, hi = start + first, start + last + 1
             elif grow:
                 lo -= 1
@@ -251,8 +288,11 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
     The one place that checks (m, n) and picks a route.  On the exact
     route P(K = k) is C(m,k) over m**n times the surjection count onto
     w = m-k bins, the head of [i**n for i = 0..m] after w differencing
-    passes (Feller vol. 1, IV.2); all m passes run even for one entry.
-    When the whole support is evaluated the numerators must sum to m**n.
+    passes (Feller vol. 1, IV.2).  For P(K = 0) alone (k_stop = 1) the head
+    after m passes is summed directly, sum_j (-1)**j C(m, j) (m-j)**n: m + 1
+    products over the same powers instead of the table's m**2/2 subtractions,
+    divided by m**n as before.  When the whole support is evaluated the
+    numerators must sum to m**n.
     """
     if m < 1:
         raise ValueError("need at least one bin")
@@ -267,10 +307,13 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
         return probs
     if m <= _EXACT_BINS and m * n <= _EXACT_WORK:
         row = [i**n for i in range(m + 1)]
-        onto = [row[0]]  # onto[w]: draws that hit each of w given bins
-        for _ in range(m):
-            row = [b - a for a, b in zip(row, row[1:])]
-            onto.append(row[0])
+        if k_stop == 1:  # P(K = 0) alone: one alternating sum, no table
+            onto = {m: sum((-1) ** j * math.comb(m, j) * row[m - j] for j in range(m + 1))}
+        else:
+            onto = [row[0]]  # onto[w]: draws that hit each of w given bins
+            for _ in range(m):
+                row = [b - a for a, b in zip(row, row[1:])]
+                onto.append(row[0])
         denom = m**n
         total = 0
         for k in ks:
@@ -279,6 +322,8 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
             probs[k] = numer / denom
         assert k_stop < m or total == denom
     elif _series_is_tame(m, n):
+        if m > _LOG_BINS:
+            raise ValueError(f"log route for m={m}, n={n} is above the limit of {_LOG_BINS} bins")
         lf = _log_factorials(m)
         with np.errstate(divide="ignore"):
             log_pow = n * (np.log(np.arange(m + 1.0)) - math.log(m))

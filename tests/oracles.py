@@ -98,6 +98,35 @@ def full_throw_recurrence(m):
     return law
 
 
+def log_series_law(m, n):
+    """P(K = k), k = 0..m, from the whole inclusion-exclusion series in log magnitudes.
+
+    Term j of entry k is C(m,k) C(m-k,j) ((m-k-j)/m)**n with sign (-1)**j;
+    every one of the m - k + 1 terms of every entry is scaled by the peak
+    and summed with math.fsum, with no window over k and no cut in j.
+    fsum is exact before its one rounding, so leaving out the terms that
+    scale to exactly 0.0 changes nothing but the time.  The float
+    operations on each kept term are those of the occupancy log route,
+    which the route must match byte for byte wherever it applies.
+    """
+    lf = np.asarray([math.lgamma(i + 1.0) for i in range(m + 1)], dtype=float)
+    with np.errstate(divide="ignore"):
+        log_pow = n * (np.log(np.arange(m + 1.0)) - math.log(m))
+    probs = np.zeros(m + 1)
+    for k in range(m + 1):
+        w = m - k
+        log_mag = lf[m] - lf[k] - lf[: w + 1] - lf[w::-1] + log_pow[w::-1]
+        peak = float(np.max(log_mag))
+        if peak == -math.inf:
+            continue
+        scaled = np.exp(log_mag - peak)
+        scaled[1::2] *= -1.0
+        s = math.fsum(scaled[scaled != 0.0].tolist())
+        if s > 0.0:
+            probs[k] = math.exp(min(peak + math.log(s), 0.0))
+    return probs
+
+
 def all_occupied_prob(m, n):
     return empty_count_law(m, n)[0]
 

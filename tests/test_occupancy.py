@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -49,9 +50,15 @@ def _assert_law_is_exactly_rounded(m, n):
     assert prob_all_occupied(m, n) == numer[0] / denom, (m, n)
 
 
-@pytest.mark.parametrize("m, n", [(64, 311), (63, 311), (256, 1500), (512, 400)])
+@pytest.mark.parametrize(
+    "m, n",
+    [(64, 311), (63, 311), (256, 1500), (512, 400)]
+    # one bin, two bins, and as many draws as bins, where P(K = 0) = m!/m**m
+    + [(1, 1), (1, 9), (2, 1), (2, 2), (2, 11), (64, 64), (256, 256)],
+)
 def test_exact_route_matches_integer_throw_recurrence(m, n):
-    # every probability on the exact route is the correctly rounded ratio
+    # every probability on the exact route is the correctly rounded ratio; prob_all_occupied
+    # sums its one entry without the difference table that the full law reads
     _assert_law_is_exactly_rounded(m, n)
 
 
@@ -203,22 +210,50 @@ def test_mass_sums_to_one_across_routes():
 
 
 def test_all_occupied_equals_law_at_zero():
-    for m, n in [(5, 8), (64, 311), (600, 900), (1024, 2048), (1024, 7200), (4096, 36909)]:
+    # (512, 3900) is the exact route's corner: the one-entry sum there must equal entry 0 of the table
+    for m, n in [(5, 8), (64, 311), (512, 3900), (600, 900), (1024, 2048), (1024, 7200), (4096, 36909)]:
         law = empty_count_distribution(m, n)
         assert prob_all_occupied(m, n) == law.prob(0), (m, n)
 
 
-def _log_route_entries(m, n):
-    # every k through the route's own term sum, no window
-    lf = occupancy._log_factorials(m)
-    with np.errstate(divide="ignore"):
-        log_pow = n * (np.log(np.arange(m + 1.0)) - math.log(m))
-    return np.array([occupancy._empty_exactly_log(lf, log_pow, m, k) for k in range(m + 1)])
+def _first_tame_size(m):
+    return next(n for n in itertools.count(m) if occupancy._series_is_tame(m, n))
 
 
-@pytest.mark.parametrize("m, n", [(4096, 36909), (1000, 7601)])
+@pytest.mark.parametrize(
+    "m, n",
+    [(4096, 36909), (1000, 7601), (1024, 7808), (10000, 92104)]
+    # at the first tame size lam = m(1 - 1/m)**n is just below 1, where the cut's bound is tightest
+    + [(m, _first_tame_size(m)) for m in (513, 600, 2000)],
+)
 def test_log_route_window_drops_only_exact_zeros(m, n):
-    assert empty_count_distribution(m, n).probs.tobytes() == _log_route_entries(m, n).tobytes()
+    assert m > occupancy._EXACT_BINS and occupancy._series_is_tame(m, n)
+    # the oracle sums every term of every entry, with no window over k and no cut in j
+    assert empty_count_distribution(m, n).probs.tobytes() == oracles.log_series_law(m, n).tobytes()
+
+
+def test_log_series_cut_lies_past_float_underflow():
+    # term j is at most term 0 / j!, so from _SERIES_TERMS on it scales below e**-760
+    cut = occupancy._SERIES_TERMS
+    assert math.lgamma(cut + 1) > -occupancy._LOG_UNDERFLOW >= math.lgamma(cut)
+    assert cut == 181
+
+
+def test_log_route_beyond_bin_limit_fails_fast(monkeypatch):
+    m = occupancy._LOG_BINS + 1
+    n = math.ceil(m * math.log(m) + m)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"above the limit of {occupancy._LOG_BINS} bins"):
+        prob_all_occupied(m, n)
+    assert time.perf_counter() - start < 1.0
+    # the limit is read at call time
+    at_limit = prob_all_occupied(1000, 7601)
+    monkeypatch.setattr(occupancy, "_LOG_BINS", 1000)
+    assert prob_all_occupied(1000, 7601) == at_limit
+    monkeypatch.setattr(occupancy, "_LOG_BINS", 999)
+    for call in (prob_all_occupied, empty_count_distribution, exact_lrt_risk):
+        with pytest.raises(ValueError, match="log route for m=1000, n=7601 is above the limit of 999 bins"):
+            call(1000, 7601)
 
 
 def test_log_route_sums_only_its_window(monkeypatch):
