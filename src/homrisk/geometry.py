@@ -26,8 +26,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-# Most center coordinates build_pack allocates: 2**27 floats are 1 GiB, 16 times
-# the largest pack the tests build (128**3 spheres in 4 dimensions).
+# Most values build_pack allocates for center coordinates, and sample for its
+# n * (d + 1 + D) floats or sample_assignments for its n choices: 2**27 floats
+# are 1 GiB, 16 times the largest pack the tests build (128**3 spheres in 4
+# dimensions).
 _MAX_PACK_FLOATS = 1 << 27
 
 
@@ -296,6 +298,14 @@ def _sphere_labels(chosen: np.ndarray, removed: int | None) -> np.ndarray:
     return chosen if removed is None else chosen + (chosen >= removed - 1)
 
 
+def _check_sample_size(n: int, per_point: int) -> None:
+    """Refuse a negative n, or one whose arrays hold more than _MAX_PACK_FLOATS values, before any draw."""
+    if n < 0:
+        raise ValueError("sample size must be >= 0")
+    if n * per_point > _MAX_PACK_FLOATS:
+        raise ValueError(f"{n} points need {n * per_point} array values, above the limit of {_MAX_PACK_FLOATS}")
+
+
 def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Generator:
     """A new generator on the Philox stream keyed by seed, or rng re-keyed to it.
 
@@ -323,10 +333,10 @@ def sample_assignments(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: i
     Consumes the same leading stream state as sample() with equal
     arguments, so these choices match assign_points on the corresponding
     full SampleSet exactly (that one reports 1-based indices).  Meant for
-    bulk runs where only per-sphere counts matter.
+    bulk runs where only per-sphere counts matter.  Refuses more than
+    _MAX_PACK_FLOATS choices before drawing any.
     """
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
+    _check_sample_size(n, 1)
     chosen, removed = _draw_kept(pack, hypothesis, n, _keyed(seed))
     return _sphere_labels(chosen, removed)
 
@@ -339,14 +349,14 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
     coordinates scaled to the sphere radius.  Under "mixture" the deleted
     sphere is drawn once per call, before any point.  The generator is
     Philox keyed by the seed, so equal arguments give bitwise-equal
-    output whatever else is running.
+    output whatever else is running.  Refuses an n whose n * (d + 1 + D)
+    floats exceed _MAX_PACK_FLOATS before drawing any.
     """
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
+    d = pack.intrinsic_dim
+    _check_sample_size(n, d + 1 + pack.ambient_dim)
     rng = _keyed(seed)
     chosen, removed = _draw_kept(pack, hypothesis, n, rng)
     spheres = _sphere_labels(chosen, removed)
-    d = pack.intrinsic_dim
     gauss = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(gauss, axis=1)
     while np.any(norms < 1e-12):  # essentially unreachable; keeps the map total

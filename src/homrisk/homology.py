@@ -35,6 +35,11 @@ DEFAULT_POINT_BUDGET = 2000
 # when every candidate is an edge and six when few are: the neighbour pass's memory cap.
 _BLOCK_FLOATS = 1 << 21
 
+# Most candidate pairs one sweep may test (see _sweep): 2**26 pairs are 1 GiB as int64 pairs,
+# the size betti0_linkage's edge list may reach, while the bench's 4000-point cloud has 3.0e6
+# and rips' default point budget caps its own at 1 999 000.
+_MAX_PAIRS = 1 << 26
+
 # Most simplices of one level that may be listed, or walked to count the level above (see
 # rips): room for every complex the tests and the benchmark build, while a dense one, up to
 # C(2000, 3) = 1.3e9 triangles under the default point budget, fails at once.
@@ -121,10 +126,12 @@ def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarr
     axis 0 (Bentley, Stanat and Williams 1977): each point meets only the
     later points whose axis-0 coordinate lies within scale of its own, plus a
     few ulps, so that rounding drops no pair the rule accepts.  A point
-    whose window alone exceeds the cap is a block of its own.
+    whose window alone exceeds the cap is a block of its own.  More than
+    _MAX_PAIRS candidates are refused before any block is built.
     """
     n, dims = pts.shape
     if dims == 0:  # no coordinates: every pair is at distance 0
+        _check_pairs(n * (n - 1) // 2)
         return np.arange(n), iter([np.stack(np.triu_indices(n, 1))])
     order = np.argsort(pts[:, 0], kind="stable")
     cols = pts[order].T.copy()
@@ -132,6 +139,7 @@ def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarr
     reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
     counts = np.searchsorted(x, reach, side="right") - np.arange(1, n + 1)
     ends = np.cumsum(counts)
+    _check_pairs(int(ends[-1]) if n else 0)
 
     def blocks() -> Iterator[np.ndarray]:
         lo = 0
@@ -142,6 +150,11 @@ def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarr
             lo = hi
 
     return order, blocks()
+
+
+def _check_pairs(count: int) -> None:
+    if count > _MAX_PAIRS:
+        raise ValueError(f"{count} candidate pairs, above the limit of {_MAX_PAIRS}")
 
 
 def _near_pairs(cols: np.ndarray, lo: int, per_point: np.ndarray, s2: float) -> np.ndarray:

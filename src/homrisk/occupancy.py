@@ -169,7 +169,7 @@ def summarize(pack: SpherePack, samples: SampleSet) -> OccupancySummary:
 
 
 def _log_factorials(m: int) -> np.ndarray:
-    return np.asarray([math.lgamma(i + 1.0) for i in range(m + 1)], dtype=float)
+    return np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
 
 
 def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> float:

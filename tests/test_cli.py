@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end via subprocess."""
 
 import csv
+import hashlib
 import math
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homrisk import CSV_HEADER, cli, geometry, harness, occupancy, save_points
+from homrisk import CSV_HEADER, cli, geometry, harness, homology, occupancy, save_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -277,6 +278,28 @@ def test_monte_carlo_beyond_draw_limit_fails_fast(argv, tmp_path, monkeypatch, c
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "module, name, limit, argv",
+    [
+        # 400 estimator points in the plane hold 400 * (2 + 2) floats
+        (geometry, "_MAX_PACK_FLOATS", 1000, "risk-mc --d 1 --D 2 --tau 0.15 --n 400 --trials 1 --seed 3 "
+         "--test estimator --scale 0.15"),
+        # 2100 points lie above the point budget, so only betti0_linkage's sweep runs
+        (homology, "_MAX_PAIRS", 1000, "homology --input big.csv --scale 0.05 --max-dim 2"),
+    ],
+    ids=["sample-floats", "linkage-pairs"],
+)
+def test_array_limits_fail_fast(module, name, limit, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_points("big.csv", np.random.default_rng(0).random((2100, 2)))
+    monkeypatch.setattr(module, name, limit)
+    assert cli.main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"above the limit of {limit}" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_risk_mc_refuses_a_negative_seed(capsys):
     argv = "risk-mc --d 1 --D 2 --tau 0.15 --n 3 --trials 50 --seed -1 --test lrt".split()
     assert cli.main(argv) == 1
@@ -302,7 +325,53 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     save_points("points.csv", np.stack([np.cos(angles), np.sin(angles)], axis=1))
     for argv in commands:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
-    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == CSV_HEADER
+    # the sweep reads every row off one draw per trial, so its CSV keeps the bytes it had when each row was drawn
+    # on its own; this fails loudly if a numpy release changes what Generator.integers draws
+    sweep_sha256 = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert sweep_sha256 == "b8fe481743fda84cdd5330dcfe29b97cd2629e9cb00bf15c1214b53bacd32466"
+
+
+POINT_FILES = {
+    "squares.csv": "0,0\n1,0\n1,1\n0,1\n10,0\n11,0\n11,1\n10,1\n",
+    "pair.csv": "0.0,0.0,0.0\n0.0625,3.026798367500305e-09,0.0625\n",
+    "grid.csv": "0,0\n1,0\n2,0\n0,1\n1,1\n2,1\n0,2\n1,2\n2,2\n",
+}
+
+
+# each case is an argv and its whole stdout, with a space for each line break
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        # (2000, 10000) takes the banded throw recurrence for both laws: the bytes the full-state recurrence printed
+        ("risk-exact --m 2000 --n 10000", "m=2000 n=10000 k_threshold=13.459054044293335 type_I=0.4782958907083198 "
+         "type_II=0.4148159535570764 total=0.8931118442653962"),
+        # (4096, 36909) cuts the log series at 182 terms: the bytes the whole series printed
+        ("risk-exact --m 4096 --n 36909", "m=4096 n=36909 k_threshold=0.49941377701238093 type_I=0.39329869049013844 "
+         "type_II=0.0 total=0.39329869049013844"),
+        # (2000, 10000) takes the banded throw recurrence: the bytes the full-state recurrence printed
+        ("coupon --exact --m 2000 --n 10000", "all_occupied=1.0774367759280787e-06 miss_prob=0.9999989225632241"),
+        # (256, 1500) sums P(K = 0) without the difference table: the bytes the table printed
+        ("coupon --exact --m 256 --n 1500", "all_occupied=0.48234032695234985 miss_prob=0.5176596730476501"),
+        # the m = 64 sample-complexity scan steps the throw recurrence to its answer, 345
+        ("complexity --d 1 --D 2 --tau 0.00390625 --epsilon 0.25 --n-max 2000", "n_epsilon=345"),
+        # two unit squares 9 apart at scale 1 give two components and two cycles through the neighbour sweep
+        ("homology --input squares.csv --scale 1 --max-dim 2",
+         "points=8 scale=1.0 betti_0=2 betti_1=2 betti_2=0 euler_characteristic=0"),
+        # a 3-D pair whose squares, added in axis order, sum to just above scale**2 stays two components
+        ("homology --input pair.csv --scale=0.08838834764831849 --max-dim 1",
+         "points=2 scale=0.08838834764831849 betti_0=2 betti_1=0 euler_characteristic=2"),
+        # a 3x3 unit grid at scale 1.5 is contractible; Betti numbers below the top come from its edge-collapsed core
+        ("homology --input grid.csv --scale 1.5 --max-dim 3",
+         "points=9 scale=1.5 betti_0=1 betti_1=0 betti_2=0 betti_3=0 euler_characteristic=1"),
+    ],
+    ids=["risk-2000", "risk-4096", "coupon-2000", "coupon-256", "complexity-64", "squares", "pair", "grid"],
+)
+def test_cli_prints_recorded_bytes(argv, stdout, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in POINT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == stdout.replace(" ", "\n") + "\n"
 
 
 def test_homology_circle_file(tmp_path):

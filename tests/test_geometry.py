@@ -165,6 +165,25 @@ def test_sample_zero_points():
     assert drawn.n == 0
 
 
+def test_sample_refuses_arrays_above_the_limit_before_drawing(monkeypatch):
+    # 100 points in the plane hold 100 * (2 + 2) floats, and 100 choices
+    pack = build_pack(1, 2, 1 / 16)
+    monkeypatch.setattr(geometry, "_MAX_PACK_FLOATS", 400)
+    assert sample(pack, Hypothesis.null(), 100, seed=1).n == 100
+    with pytest.raises(ValueError, match=r"101 points need 404 array values, above the limit of 400"):
+        sample(pack, Hypothesis.mixture(), 101, seed=1)
+    monkeypatch.setattr(geometry, "_MAX_PACK_FLOATS", 100)
+    assert sample_assignments(pack, Hypothesis.null(), 100, seed=1).size == 100
+    with pytest.raises(ValueError, match=r"101 points need 101 array values, above the limit of 100"):
+        sample_assignments(pack, Hypothesis.mixture(), 101, seed=1)
+    # the unpatched limit refuses 2**32 choices, 32 GiB, before any draw
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "_draw_kept", None)
+    for call in (sample, sample_assignments):
+        with pytest.raises(ValueError, match=r"above the limit of 134217728"):
+            call(pack, Hypothesis.null(), 2**32, seed=1)
+
+
 def test_alternate_never_hits_deleted_sphere():
     pack = build_pack(1, 2, 1 / 16)
     for seed in range(5):

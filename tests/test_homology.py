@@ -570,6 +570,22 @@ def test_scale_edges_frees_the_block_before_the_closing_sort(monkeypatch):
     assert peak <= 9.5 * 8 * pairs
 
 
+def test_sweep_refuses_candidate_pairs_above_the_limit_before_any_block(monkeypatch):
+    # five points on a line within scale of each other, or with no coordinates, are 10 candidates
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 10)
+    for dims in (1, 0):
+        five, six = (np.arange(float(k * dims)).reshape(k, dims) for k in (5, 6))
+        assert betti0_linkage(five, 10.0).cluster_count == 1
+        assert rips(five, 10.0, 1).simplex_counts == (5, 10)
+        for call in (lambda: betti0_linkage(six, 10.0), lambda: rips(six, 10.0, 1)):
+            with pytest.raises(ValueError, match="15 candidate pairs, above the limit of 10"):
+                call()
+    assert rips(np.zeros((0, 2)), 1.0, 1).simplex_counts == (0, 0)
+    monkeypatch.setattr(homology, "_near_pairs", None)
+    with pytest.raises(ValueError, match="15 candidate pairs, above the limit of 10"):
+        betti0_linkage(np.zeros((6, 2)), 1.0)
+
+
 def test_points_without_coordinates_are_one_cluster():
     # with no coordinates every pair is at distance 0, so every pair is an edge
     pts = np.zeros((3, 0))

@@ -239,6 +239,12 @@ def test_log_series_cut_lies_past_float_underflow():
     assert cut == 181
 
 
+@pytest.mark.parametrize("m", [1, 2, 1000, 4096])
+def test_log_factorials_match_the_list_form(m):
+    listed = np.asarray([math.lgamma(i + 1.0) for i in range(m + 1)], dtype=float)
+    assert occupancy._log_factorials(m).tobytes() == listed.tobytes()
+
+
 def test_log_route_beyond_bin_limit_fails_fast(monkeypatch):
     m = occupancy._LOG_BINS + 1
     n = math.ceil(m * math.log(m) + m)
