@@ -268,12 +268,13 @@ def _draw_kept(
 ) -> tuple[np.ndarray, int | None]:
     """Removed-index draw (mixture only), then n raw choices among the kept spheres.
 
-    This is the leading segment of the sample() stream, and the one place
-    that fixes its order; keeping it here is what lets index-only consumers
-    agree bitwise with full point synthesis.  Choice c in [0, kept), kept =
-    m, or m - 1 once a sphere is removed, comes back as low + c: the offset
-    is part of the bounded draw, which numpy makes as low plus a draw
-    below kept.  _sphere_labels turns choices at low = 0 into sphere indices.
+    This is the leading segment of the sample() stream, and the reference
+    for its order: the count tests' raw-word map (harness._lemire) must
+    match it, and falls back to it, so that index-only consumers agree
+    bitwise with full point synthesis.  Choice c in [0, kept), kept = m, or
+    m - 1 once a sphere is removed, comes back as low + c: the offset is
+    part of the bounded draw, which numpy makes as low plus a draw below
+    kept.  _sphere_labels turns choices at low = 0 into sphere indices.
     """
     m = pack.count
     removed: int | None = None
@@ -311,8 +312,9 @@ def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Gener
 
     Counter 0, key [seed mod 2**64, 0] and an empty buffer are the state a
     fresh Philox(key=seed) starts in, so a re-keyed generator draws what
-    a new one would.  Re-keying takes about 2 us, a new generator about
-    20 us.
+    a new one would.  Re-keying takes about 1 us, a new generator about
+    20 us; a count-test trial costs about 5 us at m = 64, n = 311, re-key
+    and raw draw included (2-core host, numpy 2.4).
     """
     if rng is None:
         return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))

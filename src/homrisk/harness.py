@@ -8,13 +8,19 @@ exactly what a generator built from each seed would.  The two count tests
 read only the empty-sphere count, so a side draws each trial's sphere
 choices once, at the largest sample size it needs, and reads every size
 off that one draw: the first n choices of a longer draw are a draw of n.
-Rows of trials are tallied in blocks of at most _DRAW_BUFFER choices, and
-a side refuses more than _MAX_DRAWS choices before drawing any.  Measured
+A count-test trial reads raw Philox words, and one vectorised Lemire map
+per block turns them into the choices Generator.integers would make; a
+trial with a word numpy would reject is drawn through geometry._draw_kept
+instead.  That map and the word order are numpy internals, pinned by
+golden tests.  Rows of trials are tallied in blocks of at most
+_DRAW_BUFFER choices, and a side refuses more than _MAX_DRAWS choices
+before drawing any.  Measured
 risk here is always over the constructed pack pair of hypotheses, not a
 worst case over anything larger.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import astuple, dataclass
@@ -164,16 +170,47 @@ def _increasing_sizes(n_values: Sequence[int], empty_message: str) -> Sequence[i
     return sizes
 
 
-def _check_draws(trials: int, n: int) -> None:
-    """Refuse a side of more than _MAX_DRAWS sphere choices before drawing any."""
-    if trials * n > _MAX_DRAWS:
+def _check_draws(trials: int, n: int, before: int = 0) -> int:
+    """Refuse a side whose sphere choices, before plus trials * n, pass _MAX_DRAWS, before drawing any; return them."""
+    total = before + trials * n
+    if total > _MAX_DRAWS:
+        earlier = f" after {before} on earlier candidates" if before else ""
         raise ValueError(
-            f"{trials} trials at n = {n} draw {trials * n} sphere choices a side, above the limit of {_MAX_DRAWS}"
+            f"{trials} trials at n = {n} draw {trials * n} sphere choices a side{earlier}, "
+            f"above the limit of {_MAX_DRAWS}"
         )
+    return total
 
 
 def _build(config: TrialConfig) -> SpherePack:
     return geometry.build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
+
+
+def _in_zone(products: np.ndarray, bound: int) -> np.ndarray:
+    """Rows of word * bound products that hold one Generator.integers would reject.
+
+    numpy draws a word again when its product's low 32 bits fall below
+    2**32 mod bound; those are the even halves of a little-endian uint64.
+    """
+    threshold = (1 << 32) % bound
+    if not threshold:
+        return np.zeros(len(products), dtype=bool)
+    return products.view("<u4")[:, ::2].min(axis=1, initial=threshold) < threshold
+
+
+def _lemire(words: np.ndarray, bound: int, out: np.ndarray) -> np.ndarray:
+    """Map rows of 32-bit words onto [0, bound) into the '<u8' array out; True where a row needs a redraw.
+
+    This is the map Generator.integers applies to each 32-bit word of a
+    bounded draw below 2**32 (Lemire 2019): choice (word * bound) >> 32,
+    unless the word falls in the rejection zone, where numpy draws again and
+    every later word shifts.  With bound 1 numpy draws no word at all, and
+    the map gives 0 from any word, so the choices agree.
+    """
+    np.multiply(words, np.uint64(bound), out=out, dtype=np.uint64)
+    redraw = _in_zone(out, bound)
+    np.right_shift(out, np.uint64(32), out=out)
+    return redraw
 
 
 def _count_rejections(
@@ -187,45 +224,78 @@ def _count_rejections(
     """Trials whose empty count exceeds k_rejects[j] after sizes[j] draws, for strictly increasing sizes.
 
     Both count tests are functions of the empty-sphere count alone, so the
-    index-only draw suffices; it shares the stream prefix with sample(),
+    index-only draw suffices; it makes the choices geometry._draw_kept does,
     hence decisions match full point synthesis bitwise.  Each trial draws
     once, at the largest size: on a keyed Philox stream the first n choices
     of a longer draw are a draw of n, so one draw is the trial at every
-    size.  Rows of trials fill a block of at most _DRAW_BUFFER choices, row
-    i drawn into [i*kept, (i+1)*kept), and one bincount per span between
-    consecutive sizes adds the span's hits to running per-trial counts.
-    A trial longer than the block is drawn in block-wide pieces, which on
-    the same stream equal one long draw.  A deleted sphere is never drawn,
-    so the tally skips it and counts it as one more empty sphere.
+    size.  A trial reads raw Philox outputs, each two 32-bit words, low half
+    first; a mixture's first word is its removed index, on range m.  One
+    vectorised Lemire map per block turns the words into choices, as
+    Generator.integers would; a trial with a word in a rejection zone is
+    drawn again through _draw_kept.  Rows of trials fill a block of at most
+    _DRAW_BUFFER choices, row i offset by i*kept, and one bincount per span
+    between consecutive sizes adds the span's hits to running per-trial
+    counts.  A trial longer than the block is drawn in block-wide pieces,
+    which continue its stream.  A deleted sphere is never drawn, so the
+    tally skips it and counts it as one more empty sphere.
     """
     m = pack.count
+    lead = int(hypothesis.kind == "mixture")
     kept = m if hypothesis.kind == "null" else m - 1
+    if kept < 1:
+        raise ValueError("deleting a sphere requires at least two spheres")
     top = sizes[-1]
     # the cap bounds a block's draws, rows * width, and its per-trial hit counts, rows * kept
     rows = min(config.trials, max(1, _DRAW_BUFFER // max(top, kept, 1)))
     width = max(1, min(top, _DRAW_BUFFER))
-    buffer = np.empty((rows, width), dtype=np.int64)
+    raw = np.empty((rows, (lead + width + 3) // 2), dtype="<u8")  # one spare output for a carried half
+    words = raw.view("<u4")
+    choices, removed = np.empty((rows, width), dtype="<u8"), np.empty((rows, 1), dtype="<u8")
+    draws = choices.view("<i8")  # bincount copies a uint64 input
+    offsets = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(kept)
     seeds = _trial_seeds(config.master_seed, config.trials, stream)
     rejections = [0] * len(sizes)
     rng = None
     for start in range(0, config.trials, rows):
         block = min(rows, config.trials - start)
-        draws = buffer[:block]
+        keys = list(itertools.islice(seeds, block))
         hits = np.zeros(block * kept, dtype=np.intp)
-        tallied = j = 0
+        tallied = j = end = 0
+        reference = False  # a redrawn trial continues through Generator.integers
         for first in range(0, max(top, 1), width):
             last = min(first + width, top)
-            if first == 0:
-                for i in range(block):
-                    rng = geometry._keyed(next(seeds), rng)
-                    draws[i, :last], _ = geometry._draw_kept(pack, hypothesis, last, rng, low=i * kept)
-            else:  # one trial per block: continue its stream
-                draws[0, : last - first] = rng.integers(0, kept, size=last - first)
+            span = last - first
+            if reference:  # one trial per block from here on
+                draws[0, :span] = rng.integers(0, kept, size=span)
+            else:
+                # a piece's choices are words [at, end); a split trial goes on after any half-word its last piece left
+                at = lead if first == 0 else end % 2
+                if first and at:
+                    words[0, 1] = words[0, end]
+                end = at + span
+                outputs = (end + 1) // 2
+                if first == 0:
+                    for i, key in enumerate(keys):
+                        rng = geometry._keyed(key, rng)
+                        raw[i, :outputs] = rng.bit_generator.random_raw(outputs)
+                else:  # one trial per block; output 0 holds the carried half-word, if any
+                    raw[0, at:outputs] = rng.bit_generator.random_raw(outputs - at)
+                redraw = _lemire(words[:block, at:end], kept, choices[:block, :span])
+                if first == 0 and lead:
+                    redraw |= _lemire(words[:block, :1], m, removed[:block])
+                choices[:block, :span] += offsets[:block]
+                for i in np.flatnonzero(redraw).tolist():
+                    rng = geometry._keyed(keys[i], rng)
+                    piece, _ = geometry._draw_kept(pack, hypothesis, min(width, top), rng, low=i * kept)
+                    for replay in range(width, last, width):  # reach this piece of a split trial
+                        piece = rng.integers(0, kept, size=min(replay + width, top) - replay)
+                    draws[i, :span] = piece
+                    reference = True
             # tally up to each size in this piece, recording it, then up to the piece's end
             while tallied < last or (j < len(sizes) and sizes[j] == tallied):
                 stop = min(sizes[j], last)
                 if stop > tallied:
-                    hits += np.bincount(draws[:, tallied - first : stop - first].ravel(), minlength=block * kept)
+                    hits += np.bincount(draws[:block, tallied - first : stop - first].ravel(), minlength=block * kept)
                     tallied = stop
                 if tallied == sizes[j]:
                     empty = np.count_nonzero(hits.reshape(block, kept) == 0, axis=1) + (m - kept)
@@ -365,8 +435,10 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
     Candidates must be strictly increasing, so the first that passes is
     the smallest; a range is scanned lazily, never listed.  Other tests
     scan the Monte Carlo estimate plus two standard errors, a one-sided
-    upper confidence bound, so a noisy dip cannot satisfy the target.
-    The likelihood-ratio test answers exactly: see lrt._first_passing_size.
+    upper confidence bound, so a noisy dip cannot satisfy the target, and
+    refuse the candidate that would take a side's sphere choices, summed
+    over the candidates so far, past _MAX_DRAWS before drawing it.  The
+    likelihood-ratio test answers exactly: see lrt._first_passing_size.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -377,8 +449,9 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
         if found is not None:
             return found
     else:
+        drawn = 0
         for n in sizes:
-            _check_draws(config.trials, n)
+            drawn = _check_draws(config.trials, n, drawn)
             (est,) = _estimates(config, pack, [n], [None])
             if est.risk_hat + 2.0 * est.stderr <= epsilon:
                 return n

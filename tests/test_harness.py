@@ -159,6 +159,44 @@ def test_philox_draws_extend_and_split_golden():
             )
 
 
+def test_raw_words_and_map_golden():
+    # Philox outputs read low half first, mapped as Generator.integers maps
+    # them: the mixture's removed index on range 64, then choices on 63
+    raw = geometry._keyed(trial_seed(2013, 3, 1)).bit_generator.random_raw(5)
+    words = np.asarray(raw, dtype="<u8").view("<u4")
+    assert words.tolist() == [
+        2034834816, 1350147194, 831818820, 1001237722, 1755248567, 3999400217, 561054603, 618373313,
+        746778256, 2459372314,
+    ]
+    removed, choices = np.empty((1, 1), dtype="<u8"), np.empty((1, 8), dtype="<u8")
+    assert not harness._lemire(words[None, :1], 64, removed)[0]
+    assert not harness._lemire(words[None, 1:9], 63, choices)[0]
+    assert int(removed[0, 0]) + 1 == 31
+    assert choices[0].tolist() == [19, 12, 14, 25, 58, 8, 9, 10]
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3, 63, 64, 1023, 1024, 3 * 10**9])
+def test_raw_map_matches_generator_integers(kept):
+    # at 3e9 about 30 % of words fall in the rejection zone, so both outcomes occur
+    for key, n, lead in itertools.product([trial_seed(2013, t, 1) for t in range(6)], (0, 1, 310, 311), (0, 1)):
+        raw = geometry._keyed(key).bit_generator.random_raw((lead + n + 1) // 2)
+        words = np.asarray(raw, dtype="<u8").view("<u4")[None, : lead + n]
+        removed, choices = np.empty((1, 1), dtype="<u8"), np.empty((1, n), dtype="<u8")
+        redraw = harness._lemire(words[:, lead:], kept, choices)[0]
+        if lead:
+            redraw |= harness._lemire(words[:, :1], kept + 1, removed)[0]
+        rng = geometry._keyed(key)
+        head = [int(rng.integers(1, kept + 2))] if lead else []
+        expected = head + rng.integers(0, kept, size=n).tolist()
+        got = [int(removed[0, 0]) + 1] * lead + choices[0].tolist()
+        bounds = [kept + 1] * lead + [kept] * n
+        zone = [int(w) * b % 2**32 < 2**32 % b for w, b in zip(words[0].tolist(), bounds)]
+        assert redraw == any(zone)
+        # numpy draws again at the first word in the zone; every word before it maps alike
+        agree = zone.index(True) if any(zone) else len(zone)
+        assert got[:agree] == expected[:agree], (key, n, lead)
+
+
 def test_mc_risk_occupancy_two_spheres():
     # exact type I of the any-empty rule at (m=2, n=3) is 1/4; the mixture
     # side always leaves a sphere empty, so type II is exactly zero
@@ -291,6 +329,8 @@ def test_draw_limit_refuses_before_any_draw(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew before the draw limit was checked")
 
+    # every draw, raw or through the reference, starts by keying a generator
+    monkeypatch.setattr(geometry, "_keyed", no_draws)
     monkeypatch.setattr(geometry, "_draw_kept", no_draws)
     monkeypatch.setattr(harness, "_MAX_DRAWS", 1000)
     for test_kind in harness.TEST_KINDS:
@@ -301,6 +341,68 @@ def test_draw_limit_refuses_before_any_draw(monkeypatch):
             sweep_n(config, [10, 101])
         with pytest.raises(ValueError, match="above the limit of 1000"):
             sample_complexity(replace(config, test_kind="occupancy"), 0.5, [101, 202])
+
+
+@pytest.mark.parametrize("flagged", ["every", "half"])
+def test_count_path_redraws_flagged_trials_through_the_reference(monkeypatch, flagged):
+    # a flagged trial is drawn again through _draw_kept, on a split trial from
+    # the flagged piece on; flagging words numpy accepted changes no count
+    coin = np.random.default_rng(0)
+
+    def in_zone(products, bound):
+        return np.ones(len(products), bool) if flagged == "every" else coin.random(len(products)) < 0.5
+
+    monkeypatch.setattr(harness, "_in_zone", in_zone)
+    for shape, sizes in ((M2, [0, 3, 12]), (M4, [2, 10]), (M64, [0, 40, 90])):
+        pack = build_pack(**shape)
+        k_rejects = [exact_lrt_risk(pack.count, n).k_threshold for n in sizes]
+        config = TrialConfig(**shape, n=0, trials=9, master_seed=7)
+        for buffer in (8, 64, 1 << 16):
+            monkeypatch.setattr(harness, "_DRAW_BUFFER", buffer)
+            for stream, hyp in ((0, Hypothesis.null()), (1, Hypothesis.mixture())):
+                seeds = [trial_seed(7, t, stream) for t in range(9)]
+                expected = [oracles.count_side_rejections(pack, hyp, seeds, n, k) for n, k in zip(sizes, k_rejects)]
+                assert harness._count_rejections(config, pack, hyp, stream, sizes, k_rejects) == expected
+
+
+def test_count_path_redraws_a_removed_index_in_the_rejection_zone():
+    # 2**32 mod 30036 is near 30036, and master seed 15522 puts the first
+    # mixture trial's removed-index word in the zone, where numpy draws again
+    m = 30036
+    pack = build_pack(intrinsic_dim=1, ambient_dim=2, radius=1 / (4 * m - 2))
+    assert pack.count == m
+    seed = trial_seed(15522, 0, 1)
+    word = int(geometry._keyed(seed).bit_generator.random_raw()) & 0xFFFFFFFF
+    assert word * m % 2**32 < 2**32 % m
+    # a shift by one word moves the empty count by at most one, so read it at many sizes
+    sizes = list(range(1000, m + 1, 1000))
+    chosen = sample_assignments(pack, Hypothesis.mixture(), sizes[-1], seed)
+    empty = [m - len(np.unique(chosen[:n])) for n in sizes]
+    config = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=pack.radius, n=0, trials=1, master_seed=15522)
+    for side, rejected in ((-0.5, 1), (0.5, 0)):
+        k_rejects = [e + side for e in empty]
+        got = harness._count_rejections(config, pack, Hypothesis.mixture(), 1, sizes, k_rejects)
+        assert got == [rejected] * len(sizes)
+
+
+def test_sample_complexity_refuses_past_the_draw_limit_summed_over_candidates(monkeypatch):
+    # each candidate alone stays under the limit; 10 * (0 + 1 + ... + 13) = 910 does too, and n = 14 passes it
+    monkeypatch.setattr(harness, "_MAX_DRAWS", 1000)
+    drawn = []
+    estimates = harness._estimates
+
+    def recorded(config, pack, sizes, reports):
+        drawn.append(sizes[0])
+        return estimates(config, pack, sizes, reports)
+
+    monkeypatch.setattr(harness, "_estimates", recorded)
+    config = TrialConfig(**M64, n=1, trials=10, master_seed=1, test_kind="occupancy")
+    message = "n = 14 draw 140 sphere choices a side after 910 on earlier candidates, above the limit of 1000"
+    with pytest.raises(ValueError, match=message):
+        sample_complexity(config, 0.5, range(10**12))
+    assert drawn == list(range(14))
+    # the likelihood-ratio test answers exactly and draws nothing
+    assert sample_complexity(replace(config, test_kind="lrt"), 0.25, range(10**12)) == 345
 
 
 def test_mc_risk_is_reproducible():
