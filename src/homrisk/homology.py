@@ -12,11 +12,12 @@ the simplex counts.  A hand-built complex is reduced whole.  Cliques blow
 up combinatorially, so the full route carries dimension and point
 budgets, and no level beyond the simplex budget is listed or walked.  The
 component count alone has a cheap route with no budget, vectorised
-hook-and-compress labelling over the same pairs.  Both take their pairs
-from one sweep over the points sorted on an axis, which tests only the
-pairs that axis leaves within reach.  A pair is an edge when its squares,
-added in axis order, sum to at most the squared scale, so the edge set is
-the same on every numpy build.
+hook-and-compress labelling that takes each block of the same pairs into
+one forest as soon as it is tested, so it holds one block and the forest.
+Both take their pairs from one sweep over the points sorted on an axis,
+which tests only the pairs that axis leaves within reach.  A pair is an
+edge when its squares, added in axis order, sum to at most the squared
+scale, so the edge set is the same on every numpy build.
 """
 from __future__ import annotations
 
@@ -31,13 +32,15 @@ from .geometry import SampleSet, SpherePack
 MAX_COMPLEX_DIM = 3
 DEFAULT_POINT_BUDGET = 2000
 
-# Words of working memory in one block of candidate pairs of _scale_edges, about eight a pair
-# when every candidate is an edge and six when few are: the neighbour pass's memory cap.
-_BLOCK_FLOATS = 1 << 21
+# Words of working memory in one block of candidate pairs, about eight a pair when every
+# candidate is an edge and six when few are: the neighbour pass's memory cap, 2**14 pairs or
+# about 1 MB, for rips' _scale_edges and betti0_linkage alike.
+_BLOCK_FLOATS = 1 << 17
 
-# Most candidate pairs one sweep may test (see _sweep): 2**26 pairs are 1 GiB as int64 pairs,
-# the size betti0_linkage's edge list may reach, while the bench's 4000-point cloud has 3.0e6
-# and rips' default point budget caps its own at 1 999 000.
+# Most candidate pairs one sweep may test (see _sweep).  betti0_linkage holds no edge list, so
+# this bounds its work: about 1.2 s at the 18 ns a candidate of a 40 000-point cloud whose
+# candidates are rarely edges (one core of a 2-core VM).  The bench's 4000-point cloud has
+# 3.0e6, and rips' default point budget caps its own at 1 999 000.
 _MAX_PAIRS = 1 << 26
 
 # Most simplices of one level that may be listed, or walked to count the level above (see
@@ -116,9 +119,11 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+def _sweep(
+    pts: np.ndarray, scale: float, forest: np.ndarray | None = None
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """The order that sorts pts on axis 0, and the pairs a < b of positions in that order whose
-    points lie within scale, as (2, k) blocks of at most _BLOCK_FLOATS // 8 candidate pairs.
+    points lie within scale, as (2, k) blocks tested from at most _BLOCK_FLOATS // 8 candidate pairs.
 
     A pair is an edge when its squares, added in axis order, sum to at most
     scale * scale.  That one rule fixes the summation order, so the edge set
@@ -126,13 +131,16 @@ def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarr
     axis 0 (Bentley, Stanat and Williams 1977): each point meets only the
     later points whose axis-0 coordinate lies within scale of its own, plus a
     few ulps, so that rounding drops no pair the rule accepts.  A point
-    whose window alone exceeds the cap is a block of its own.  More than
-    _MAX_PAIRS candidates are refused before any block is built.
+    whose window alone exceeds the cap is a block of its own.  Points with no
+    coordinates sweep as one zero axis, where every pair is an edge.  More
+    than _MAX_PAIRS candidates are refused before any block is built.  Given
+    a forest over sorted positions, each block after the first drops the
+    candidates whose ends share a forest entry before testing them; the
+    caller updates the forest in place between blocks.
     """
-    n, dims = pts.shape
-    if dims == 0:  # no coordinates: every pair is at distance 0
-        _check_pairs(n * (n - 1) // 2)
-        return np.arange(n), iter([np.stack(np.triu_indices(n, 1))])
+    n = pts.shape[0]
+    if pts.shape[1] == 0:
+        pts = np.zeros((n, 1))
     order = np.argsort(pts[:, 0], kind="stable")
     cols = pts[order].T.copy()
     x = cols[0]
@@ -146,7 +154,7 @@ def _sweep(pts: np.ndarray, scale: float) -> tuple[np.ndarray, Iterator[np.ndarr
         while lo < n:
             base = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS // 8, side="right")))
-            yield _near_pairs(cols, lo, counts[lo:hi], scale * scale)
+            yield _near_pairs(cols, lo, counts[lo:hi], scale * scale, forest if lo else None)
             lo = hi
 
     return order, blocks()
@@ -157,12 +165,18 @@ def _check_pairs(count: int) -> None:
         raise ValueError(f"{count} candidate pairs, above the limit of {_MAX_PAIRS}")
 
 
-def _near_pairs(cols: np.ndarray, lo: int, per_point: np.ndarray, s2: float) -> np.ndarray:
+def _near_pairs(
+    cols: np.ndarray, lo: int, per_point: np.ndarray, s2: float, forest: np.ndarray | None
+) -> np.ndarray:
     """Pairs a < b of sorted positions at most sqrt(s2) apart, as a (2, k) array, among the
     candidates of points lo, lo + 1, ...: point lo + t meets the per_point[t] positions after it.
+    A candidate whose ends share an entry of forest, when given, is dropped untested.
     The candidates live only inside this call, so they are freed before the caller goes on."""
     first = np.repeat(np.arange(lo, lo + per_point.size), per_point)
     second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+    if forest is not None:
+        apart = forest[first] != forest[second]
+        first, second = first[apart], second[apart]
     d = cols[0][first] - cols[0][second]
     d2 = d * d
     for col in cols[1:]:
@@ -386,11 +400,18 @@ def betti(complex_: SimplicialComplex | RipsComplex) -> BettiProfile:
 def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     """Component count of the graph with edges at distance <= threshold.
 
-    Vectorised hook-and-compress (Shiloach and Vishkin) over the sweep's
-    pairs, left in sorted positions since labels do not change a count:
-    each round hooks every root onto the smallest lower root it shares an
+    Vectorised hook-and-compress (Shiloach and Vishkin 1982) over the sweep's
+    pairs, left in sorted positions since labels do not change a count.
+    Each block of pairs is hooked into one forest as soon as it is tested:
+    each round hooks every root onto the largest higher root it shares an
     edge with, then pointer-jumps to stars, until no edge joins two roots.
-    Candidate pairs run in bounded blocks, so memory is the edge list; no point budget.
+    Roots lie above their members, so a block reads and compresses only the
+    positions from its first edge up to the furthest end any block has
+    reached, and no later block reads below its first edge.  Blocks after
+    the first drop the candidates whose ends the forest has already joined
+    before testing them.  Memory is one block of at most _BLOCK_FLOATS
+    words plus the forest and the sweep's arrays of one entry a point; no
+    point budget.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
@@ -398,18 +419,23 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("no points to cluster")
-    first, second = np.concatenate(list(_sweep(pts, threshold)[1]), axis=1)
     parent = np.arange(n)
-    while True:
-        root_a, root_b = parent[first], parent[second]
-        joins = root_a != root_b
-        if not joins.any():
-            break
-        first, second = first[joins], second[joins]
-        # parent[v] <= v throughout, so hooking never closes a cycle
-        np.minimum.at(parent, np.maximum(root_a, root_b)[joins], np.minimum(root_a, root_b)[joins])
-        while not np.array_equal(parent[parent], parent):
-            parent = parent[parent]
+    top = 0
+    for first, second in _sweep(pts, threshold, parent)[1]:
+        if not first.size:
+            continue
+        top = max(top, int(second.max()) + 1)
+        span = parent[first[0] : top]
+        while True:
+            root_a, root_b = parent[first], parent[second]
+            joins = root_a != root_b
+            if not joins.any():
+                break
+            first, second = first[joins], second[joins]
+            # parent[v] >= v throughout, so hooking never closes a cycle
+            np.maximum.at(parent, np.minimum(root_a, root_b)[joins], np.maximum(root_a, root_b)[joins])
+            while not np.array_equal(hop := parent[span], span):
+                span[:] = hop
     roots = int(np.count_nonzero(parent == np.arange(n)))
     return ClusterEstimate(threshold=float(threshold), cluster_count=roots)
 

@@ -461,8 +461,8 @@ def test_linkage_edges():
 
 
 def test_linkage_blocking_consistent_on_larger_set():
-    # 1300 points, one block of candidate pairs; test_scale_edges_across_many_blocks
-    # covers many.  Compare against the rips count and the oracle
+    # 1300 points, three blocks of candidate pairs, the later two filtered by the forest;
+    # test_linkage_forest_across_many_blocks covers many.  Compare against the rips count and the oracle
     rng = np.random.default_rng(23)
     pts = rng.uniform(size=(1300, 2)) * 4.0
     scale = 0.09
@@ -551,6 +551,62 @@ def test_scale_edges_across_many_blocks(monkeypatch):
         pts[:40, 0] = 0.5
         for scale in (0.05, 0.2):
             assert_same_edges(pts, scale)
+
+
+def test_linkage_forest_across_many_blocks(monkeypatch):
+    # at most 20 candidate pairs a block, so the forest carries components from block to block,
+    # and every block after the first drops the candidates whose ends it has already joined
+    monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8 * 20)
+    tested = []
+    near_pairs = homology._near_pairs
+
+    def counted(*args):
+        pairs = near_pairs(*args)
+        tested.append(pairs.shape[1])
+        return pairs
+
+    monkeypatch.setattr(homology, "_near_pairs", counted)
+    rng = np.random.default_rng(37)
+    for dims in (1, 2, 3):
+        pts = rng.uniform(size=(150, dims))
+        pts[:15, 0] = 0.5
+        for scale in (0.02, 0.08, 0.3):
+            assert betti0_linkage(pts, scale).cluster_count == oracles.component_count(pts, scale)
+    # a unit chain along axis 1 under a shuffled numbering: every first coordinate is equal,
+    # so all 1770 pairs are candidates, and the chain's links fall in different blocks
+    chain = np.zeros((60, 2))
+    chain[rng.permutation(60), 1] = np.arange(60.0)
+    assert betti0_linkage(chain, 1.0).cluster_count == 1
+    cut = chain[np.abs(chain[:, 1] - 29.5) > 1.0]  # drops the points at 29 and 30
+    assert betti0_linkage(cut, 1.0).cluster_count == oracles.component_count(cut, 1.0) == 2
+    # a dense cloud: the first block joins most points, and the filter drops most later edges
+    dense = np.vstack([rng.uniform(size=(120, 2)) * 0.1, rng.uniform(size=(80, 2)) * 0.1 + [0.3, 0.0]])
+    tested.clear()
+    assert betti0_linkage(dense, 0.05).cluster_count == oracles.component_count(dense, 0.05) == 2
+    assert sum(tested) < _scale_edges(dense, 0.05).shape[1] / 4
+    # one point a block: the third point joins the components of the first two only after
+    # their roots lie past its own edges, so the forest must stay compressed up to the
+    # furthest end seen, or the sixth point's link to the last one splits them again
+    monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8)
+    hooks = np.array([[0.0, 0.0], [0.01, 3.6], [0.02, 1.8], [0.03, 0.9], [0.04, 2.7], [0.05, -0.5]])
+    hooks = np.vstack([hooks, [[0.9, 0.3], [0.95, 3.9], [1.0, -0.8]]])
+    assert betti0_linkage(hooks, 1.0).cluster_count == oracles.component_count(hooks, 1.0) == 1
+
+
+def test_linkage_memory_is_bounded():
+    # the blocks are hooked into one forest as they are tested, so no edge list is held: the
+    # 499 465 edges of this 4000-point cloud once put the traced peak at 27.2 MiB, and the
+    # 17 997 000 pairs of 6000 points with no coordinates, built in one block, at 978 MiB
+    pts = sample(build_pack(2, 3, 1 / 8), Hypothesis.null(), 4000, 11).points
+    for cloud, scale, want in ((pts, 1 / 8, 4), (np.zeros((6000, 0)), 1.0, 1)):
+        tracemalloc.start()
+        try:
+            count = betti0_linkage(cloud, scale).cluster_count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == want
+        assert peak < 4_000_000
 
 
 def test_scale_edges_frees_the_block_before_the_closing_sort(monkeypatch):
