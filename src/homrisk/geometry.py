@@ -354,9 +354,17 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
     output whatever else is running.  Refuses an n whose n * (d + 1 + D)
     floats exceed _MAX_PACK_FLOATS before drawing any.
     """
+    return _sample(pack, hypothesis, n, seed, None)
+
+
+def _sample(
+    pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int, rng: np.random.Generator | None
+) -> SampleSet:
+    """sample, drawn from rng re-keyed to seed (see _keyed), or from a new generator when rng is None;
+    the estimator's trials re-key one generator a side."""
     d = pack.intrinsic_dim
     _check_sample_size(n, d + 1 + pack.ambient_dim)
-    rng = _keyed(seed)
+    rng = _keyed(seed, rng)
     chosen, removed = _draw_kept(pack, hypothesis, n, rng)
     spheres = _sphere_labels(chosen, removed)
     gauss = rng.standard_normal((n, d + 1))

@@ -310,8 +310,9 @@ def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hyp
     # callers may override anywhere in (0, 2*radius).
     scale = pack.radius if config.scale is None else float(config.scale)
     rejections = 0
+    rng = geometry._keyed(0)  # one generator a side, re-keyed to each trial's seed
     for seed in _trial_seeds(config.master_seed, config.trials, stream):
-        samples = geometry.sample(pack, hypothesis, n, seed)
+        samples = geometry._sample(pack, hypothesis, n, seed, rng)
         # Budget 0 keeps every trial on the component-count path; the
         # plug-in decision below only reads the leading Betti number.
         profile = homology_estimator(pack, samples, scale, point_budget=0)

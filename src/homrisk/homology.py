@@ -12,15 +12,21 @@ the simplex counts.  A hand-built complex is reduced whole.  Cliques blow
 up combinatorially, so the full route carries dimension and point
 budgets, and no level beyond the simplex budget is listed or walked.  The
 component count alone has a cheap route with no budget, vectorised
-hook-and-compress labelling that takes each block of the same pairs into
+hook-and-compress labelling that takes each block of tested pairs into
 one forest as soon as it is tested, so it holds one block and the forest.
-Both take their pairs from one sweep over the points sorted on an axis,
-which tests only the pairs that axis leaves within reach.  A pair is an
-edge when its squares, added in axis order, sum to at most the squared
-scale, so the edge set is the same on every numpy build.
+rips takes its pairs from a sweep over the points sorted on an axis,
+which tests only the pairs that axis leaves within reach; the component
+count takes the same sweep's pairs, except on 2-D and 3-D clouds with
+more than one block of candidates, where it counts over clique cells of
+side scale/sqrt(D) and tests only pairs of cells that the forest has not
+yet joined.  A pair is an edge when its squares, added in axis order, sum
+to at most the squared scale, so the edge set is the same on every numpy
+build, and both routes count the same components.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,14 +40,24 @@ DEFAULT_POINT_BUDGET = 2000
 
 # Words of working memory in one block of candidate pairs, about eight a pair when every
 # candidate is an edge and six when few are: the neighbour pass's memory cap, 2**14 pairs or
-# about 1 MB, for rips' _scale_edges and betti0_linkage alike.
+# about 1 MB, for rips' _scale_edges and both of betti0_linkage's routes alike.
 _BLOCK_FLOATS = 1 << 17
 
-# Most candidate pairs one sweep may test (see _sweep).  betti0_linkage holds no edge list, so
-# this bounds its work: about 1.2 s at the 18 ns a candidate of a 40 000-point cloud whose
-# candidates are rarely edges (one core of a 2-core VM).  The bench's 4000-point cloud has
-# 3.0e6, and rips' default point budget caps its own at 1 999 000.
+# Most candidate pairs one sweep may test (see _sweep), counted before any is tested, also when
+# betti0_linkage then counts over cells.  betti0_linkage holds no edge list, so this bounds its
+# work: about 1.2 s at the 18 ns a candidate of a 40 000-point cloud whose candidates are rarely
+# edges (one core of a 2-core VM).  The cells test only pairs under 3 sides, at most 2.13 scale,
+# apart on axis 0: at most 7 times the sweep's candidates plus 3 a point, as slabs of width scale
+# show.  The bench's 4000-point cloud has 3.0e6 sweep candidates, of which the cells test 1.7e5,
+# and rips' default point budget caps its own at 1 999 000.
 _MAX_PAIRS = 1 << 26
+
+# Cells an axis must span fewer of for betti0_linkage to count over cells (see _cell_components);
+# a wider cloud stays on the sweep.  A pair that passes the edge rule lies at most sqrt(D) <= sqrt(3)
+# cells, plus a few ulps, apart on each axis, while a computed cell coordinate under 2**20 is off by
+# under 2**-30 cells, far under the quarter cell that sqrt(3) leaves below 2, so no edge joins cells
+# more than two apart.  The keys, with two cells of margin a side, stay below (2**20 + 5)**3 < 2**63.
+_GRID_SPAN = 1 << 20
 
 # Most simplices of one level that may be listed, or walked to count the level above (see
 # rips): room for every complex the tests and the benchmark build, while a dense one, up to
@@ -121,9 +137,10 @@ def _as_point_array(points) -> np.ndarray:
 
 def _sweep(
     pts: np.ndarray, scale: float, forest: np.ndarray | None = None
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The order that sorts pts on axis 0, and the pairs a < b of positions in that order whose
-    points lie within scale, as (2, k) blocks tested from at most _BLOCK_FLOATS // 8 candidate pairs.
+) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The order that sorts pts on axis 0, the number of candidate pairs the sweep tests, and the
+    pairs a < b of positions in that order whose points lie within scale, as blocks of two arrays of ends
+    tested from at most _BLOCK_FLOATS // 8 candidate pairs.
 
     A pair is an edge when its squares, added in axis order, sum to at most
     scale * scale.  That one rule fixes the summation order, so the edge set
@@ -142,22 +159,17 @@ def _sweep(
     if pts.shape[1] == 0:
         pts = np.zeros((n, 1))
     order = np.argsort(pts[:, 0], kind="stable")
-    cols = pts[order].T.copy()
-    x = cols[0]
+    x = pts[order, 0]
     reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
     counts = np.searchsorted(x, reach, side="right") - np.arange(1, n + 1)
-    ends = np.cumsum(counts)
-    _check_pairs(int(ends[-1]) if n else 0)
+    candidates = int(counts.sum())
+    _check_pairs(candidates)
 
-    def blocks() -> Iterator[np.ndarray]:
-        lo = 0
-        while lo < n:
-            base = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS // 8, side="right")))
-            yield _near_pairs(cols, lo, counts[lo:hi], scale * scale, forest if lo else None)
-            lo = hi
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        rows = np.arange(n)
+        yield from _tested_blocks(pts[order].T.copy(), rows, rows + 1, counts, scale * scale, forest)
 
-    return order, blocks()
+    return order, candidates, blocks()
 
 
 def _check_pairs(count: int) -> None:
@@ -165,33 +177,60 @@ def _check_pairs(count: int) -> None:
         raise ValueError(f"{count} candidate pairs, above the limit of {_MAX_PAIRS}")
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[t], starts[t] + 1, ..., starts[t] + lengths[t] - 1 for each t in turn, as one array."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
+    return out
+
+
+def _tested_blocks(
+    cols: np.ndarray, rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray, s2: float, forest: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The edges among the candidate pairs (rows[t], starts[t] + j), j < lengths[t], of the points
+    cols holds one axis a row, as pairs of arrays tested from at most _BLOCK_FLOATS // 8 candidates;
+    a row whose run alone exceeds that is a block of its own.  Given a forest, each block after the
+    first drops the candidates whose ends share a forest entry before testing them."""
+    ends = np.cumsum(lengths)
+    lo = 0
+    while lo < rows.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK_FLOATS // 8, side="right")))
+        yield _near_pairs(cols, rows[lo:hi], starts[lo:hi], lengths[lo:hi], s2, forest if lo else None)
+        lo = hi
+
+
 def _near_pairs(
-    cols: np.ndarray, lo: int, per_point: np.ndarray, s2: float, forest: np.ndarray | None
-) -> np.ndarray:
-    """Pairs a < b of sorted positions at most sqrt(s2) apart, as a (2, k) array, among the
-    candidates of points lo, lo + 1, ...: point lo + t meets the per_point[t] positions after it.
-    A candidate whose ends share an entry of forest, when given, is dropped untested.
-    The candidates live only inside this call, so they are freed before the caller goes on."""
-    first = np.repeat(np.arange(lo, lo + per_point.size), per_point)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+    cols: np.ndarray, rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray, s2: float, forest: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs at most sqrt(s2) apart, as two arrays of k ends, among the candidates (rows[t], starts[t] + j),
+    j < lengths[t], of the points cols holds one axis a row.  A candidate whose ends share an entry of
+    forest, when given, is dropped untested.  The candidates live only inside this call, so they are
+    freed before the caller goes on."""
+    first = np.repeat(rows, lengths)
+    second = _ranges(starts, lengths)
     if forest is not None:
         apart = forest[first] != forest[second]
         first, second = first[apart], second[apart]
-    d = cols[0][first] - cols[0][second]
-    d2 = d * d
+    d2 = cols[0][first]
+    d2 -= cols[0][second]
+    d2 *= d2
     for col in cols[1:]:
-        d = col[first] - col[second]
-        d2 += d * d
+        d = col[first]
+        d -= col[second]
+        d *= d
+        d2 += d
     near = d2 <= s2
-    return np.stack((first[near], second[near]))
+    del d2
+    return first[near], second[near]
 
 
 def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
     """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j):
     the sweep's pairs relabelled to row indices and sorted once through the key i * n + j."""
     n = pts.shape[0]
-    order, blocks = _sweep(pts, scale)
-    keys = [np.minimum(i, j) * n + np.maximum(i, j) for i, j in (order[block] for block in blocks)]
+    order, _, blocks = _sweep(pts, scale)
+    keys = [np.minimum(i, j) * n + np.maximum(i, j) for i, j in ((order[a], order[b]) for a, b in blocks)]
     return np.stack(np.divmod(np.sort(np.concatenate([np.empty(0, dtype=int), *keys])), n))
 
 
@@ -296,7 +335,9 @@ def _collapse_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
     collapse of the clique complex (Boissonnat and Pritam, "Edge collapse
     and persistence of flag complexes", SoCG 2020), so its homotopy type
     stays.  Each test reads the neighbourhoods left by every removal before
-    it, and passes over the edges repeat until one removes nothing.
+    it, and passes over the edges repeat until one removes nothing.  A
+    dominating vertex neighbours every vertex of N[u] & N[v], so each refuted
+    w narrows the search to its own neighbours.
     """
     nbr = [1 << i for i in range(n)]
     for i, j in edges:
@@ -313,7 +354,7 @@ def _collapse_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
                     nbr[u] ^= 1 << v
                     nbr[v] ^= 1 << u
                     break
-                others ^= 1 << w
+                others &= nbr[w] ^ (1 << w)
             else:
                 kept.append((u, v))
         if len(kept) == len(edges):
@@ -397,21 +438,120 @@ def betti(complex_: SimplicialComplex | RipsComplex) -> BettiProfile:
     return BettiProfile(betti=tuple(bettis), euler_characteristic=euler)
 
 
+def _hook(parent: np.ndarray, first: np.ndarray, second: np.ndarray, span: np.ndarray) -> None:
+    """Hook the edges first[i] -- second[i] into the forest parent, in place, by vectorised
+    hook-and-compress (Shiloach and Vishkin 1982): each round hooks every root onto the largest
+    higher root it shares an edge with, then pointer-jumps span, a view of parent holding every
+    entry whose root may change and every root it may reach, to stars, until no edge joins two
+    roots.  parent[v] >= v throughout, so hooking never closes a cycle."""
+    while True:
+        root_a, root_b = parent[first], parent[second]
+        joins = root_a != root_b
+        if not joins.any():
+            return
+        root_a, root_b = root_a[joins], root_b[joins]
+        np.maximum.at(parent, np.minimum(root_a, root_b), np.maximum(root_a, root_b))
+        first, second = first[joins], second[joins]
+        while not np.array_equal(hop := parent[span], span):
+            span[:] = hop
+
+
+def _cell_offsets(dims: int) -> np.ndarray:
+    """The cell offsets o in {-2..2}^dims whose first non-zero entry is positive, one a row, nearest
+    first: by the least squared gap between two cells o apart, in cells, then by |o|^2."""
+    half = [o for o in itertools.product(range(-2, 3), repeat=dims) if o > (0,) * dims]
+    half.sort(key=lambda o: (sum(max(abs(c) - 1, 0) ** 2 for c in o), sum(c * c for c in o)))
+    return np.array(half, dtype=np.int64)
+
+
+_CELL_OFFSETS = {dims: _cell_offsets(dims) for dims in (2, 3)}
+
+
+def _cell_components(pts: np.ndarray, scale: float) -> int | None:
+    """Components of the scale graph of pts in 2 or 3 dimensions counted over clique cells, or None
+    when an axis spans _GRID_SPAN cells or more.
+
+    Cells of side scale / sqrt(D) (Bentley, Stanat and Williams 1977; de Berg,
+    Gunawan and Speckmann 2019), keyed by int64 cell coordinates.  A cell whose
+    bounding box passes the edge rule is one unit of the forest: rounding is
+    monotone, so every pair in it passes the same rule.  Each point of a cell
+    that fails the check is a unit of its own, and the cell's pairs are tested
+    first.  Every edge joins cells at most two apart on each axis (see
+    _GRID_SPAN), so the offsets in {-2..2}^D, nearest first, cover them all.
+    For each offset the cell pairs whose units the forest already joins are
+    dropped before any point pair is made, and the rest are tested with the
+    one edge rule in blocks of at most _BLOCK_FLOATS // 8 candidates.
+    """
+    n, dims = pts.shape
+    with np.errstate(over="ignore"):  # a cloud whose extent overflows spans inf cells
+        cells = np.floor((pts - pts.min(axis=0)) / (scale / math.sqrt(dims)))
+    span = cells.max(axis=0)
+    if not (span < _GRID_SPAN).all():
+        return None
+    # two cells of margin on each side, so no offset carries a coordinate into the next axis
+    strides = np.append(np.cumprod(span[:0:-1].astype(np.int64) + 5)[::-1], 1)
+    keys = (cells.astype(np.int64) + 2) @ strides
+    del cells
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cols = pts[order].T.copy()
+    del order
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    sizes = np.diff(np.append(starts, n))
+    keys = keys[starts]
+    s2 = scale * scale
+    box = 0.0
+    for col in cols:
+        d = np.maximum.reduceat(col, starts) - np.minimum.reduceat(col, starts)
+        box = box + d * d
+    whole = box <= s2
+    fresh = np.repeat(~whole, sizes)
+    fresh[starts] = True
+    unit = np.cumsum(fresh) - 1
+    parent = np.arange(unit[-1] + 1)
+    rep = unit[starts]
+
+    def hook(rows: np.ndarray, run_starts: np.ndarray, lengths: np.ndarray) -> None:
+        for first, second in _tested_blocks(cols, rows, run_starts, lengths, s2):
+            first, second = unit[first], unit[second]
+            # the edges of one row, or of all rows of a whole cell, repeat one pair of units
+            new = (np.diff(first, prepend=-1) != 0) | (np.diff(second, prepend=-1) != 0)
+            _hook(parent, first[new], second[new], parent)
+            del first, second  # freed before the next block is tested
+
+    split = np.flatnonzero(~whole)
+    if split.size:
+        rows = _ranges(starts[split], sizes[split])
+        hook(rows, rows + 1, np.repeat(starts[split] + sizes[split], sizes[split]) - rows - 1)
+    last = keys.size - 1
+    for step in _CELL_OFFSETS[dims] @ strides:
+        near = keys + step
+        at = np.minimum(np.searchsorted(keys, near), last)
+        a = np.flatnonzero(keys[at] == near)
+        b = at[a]
+        apart = (parent[rep[a]] != parent[rep[b]]) | ~whole[a] | ~whole[b]
+        a, b = a[apart], b[apart]
+        if a.size:
+            hook(_ranges(starts[a], sizes[a]), np.repeat(starts[b], sizes[a]), np.repeat(sizes[b], sizes[a]))
+    return int(np.count_nonzero(parent == np.arange(parent.size)))
+
+
 def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     """Component count of the graph with edges at distance <= threshold.
 
     Vectorised hook-and-compress (Shiloach and Vishkin 1982) over the sweep's
     pairs, left in sorted positions since labels do not change a count.
-    Each block of pairs is hooked into one forest as soon as it is tested:
-    each round hooks every root onto the largest higher root it shares an
-    edge with, then pointer-jumps to stars, until no edge joins two roots.
+    Each block of pairs is hooked into one forest as soon as it is tested.
     Roots lie above their members, so a block reads and compresses only the
     positions from its first edge up to the furthest end any block has
     reached, and no later block reads below its first edge.  Blocks after
     the first drop the candidates whose ends the forest has already joined
-    before testing them.  Memory is one block of at most _BLOCK_FLOATS
-    words plus the forest and the sweep's arrays of one entry a point; no
-    point budget.
+    before testing them.  In 2 or 3 dimensions, when the sweep would test
+    more than one block of candidates, the count is taken over clique cells
+    instead (see _cell_components), which tests far fewer pairs on large
+    clouds; a cloud too wide for the cells' int64 keys stays on the sweep.
+    Either way memory is one block of at most _BLOCK_FLOATS words plus
+    arrays of a few entries a point; no point budget.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
@@ -420,22 +560,17 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     if n == 0:
         raise ValueError("no points to cluster")
     parent = np.arange(n)
+    _, candidates, blocks = _sweep(pts, threshold, parent)
+    if pts.shape[1] in (2, 3) and candidates > _BLOCK_FLOATS // 8:
+        roots = _cell_components(pts, threshold)
+        if roots is not None:
+            return ClusterEstimate(threshold=float(threshold), cluster_count=roots)
     top = 0
-    for first, second in _sweep(pts, threshold, parent)[1]:
-        if not first.size:
-            continue
-        top = max(top, int(second.max()) + 1)
-        span = parent[first[0] : top]
-        while True:
-            root_a, root_b = parent[first], parent[second]
-            joins = root_a != root_b
-            if not joins.any():
-                break
-            first, second = first[joins], second[joins]
-            # parent[v] >= v throughout, so hooking never closes a cycle
-            np.maximum.at(parent, np.minimum(root_a, root_b)[joins], np.maximum(root_a, root_b)[joins])
-            while not np.array_equal(hop := parent[span], span):
-                span[:] = hop
+    for first, second in blocks:
+        if first.size:
+            top = max(top, int(second.max()) + 1)
+            _hook(parent, first, second, parent[first[0] : top])
+        del first, second  # freed before the next block is tested
     roots = int(np.count_nonzero(parent == np.arange(n)))
     return ClusterEstimate(threshold=float(threshold), cluster_count=roots)
 

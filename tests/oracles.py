@@ -216,6 +216,37 @@ def betti_numbers(levels):
     return tuple(len(level) - ranks[q] - ranks[q + 1] for q, level in enumerate(levels))
 
 
+def collapse_edges_unpruned(n, edges):
+    """The edges homology._collapse_edges keeps, by its loop before the domination search was pruned.
+
+    Each edge uv, in the given order, is removed when some vertex w other
+    than u and v has N[u] & N[v] inside N[w], testing every such w from the
+    highest down, against the neighbourhoods left by every removal before
+    it; passes repeat until one removes nothing.
+    """
+    nbr = [1 << i for i in range(n)]
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    while True:
+        kept = []
+        for u, v in edges:
+            common = nbr[u] & nbr[v]
+            others = common ^ (1 << u) ^ (1 << v)
+            while others:
+                w = others.bit_length() - 1
+                if common & nbr[w] == common:
+                    nbr[u] ^= 1 << v
+                    nbr[v] ^= 1 << u
+                    break
+                others ^= 1 << w
+            else:
+                kept.append((u, v))
+        if len(kept) == len(edges):
+            return kept
+        edges = kept
+
+
 def rips_cliques(points, scale, max_dim):
     """Every (q+1)-subset, q = 0..max_dim, whose pairs all lie within the scale.
 

@@ -338,40 +338,45 @@ POINT_FILES = {
 }
 
 
-# each case is an argv and its whole stdout, with a space for each line break
+# each case is an argv and its whole stdout but the last line break
 @pytest.mark.parametrize(
     "argv, stdout",
     [
         # (2000, 10000) takes the banded throw recurrence for both laws: the bytes the full-state recurrence printed
-        ("risk-exact --m 2000 --n 10000", "m=2000 n=10000 k_threshold=13.459054044293335 type_I=0.4782958907083198 "
-         "type_II=0.4148159535570764 total=0.8931118442653962"),
+        ("risk-exact --m 2000 --n 10000", "m=2000\nn=10000\nk_threshold=13.459054044293335\ntype_I=0.4782958907083198\n"
+         "type_II=0.4148159535570764\ntotal=0.8931118442653962"),
         # (4096, 36909) cuts the log series at 182 terms: the bytes the whole series printed
-        ("risk-exact --m 4096 --n 36909", "m=4096 n=36909 k_threshold=0.49941377701238093 type_I=0.39329869049013844 "
-         "type_II=0.0 total=0.39329869049013844"),
+        ("risk-exact --m 4096 --n 36909", "m=4096\nn=36909\nk_threshold=0.49941377701238093\ntype_I=0.39329869049013844\n"
+         "type_II=0.0\ntotal=0.39329869049013844"),
         # (2000, 10000) takes the banded throw recurrence: the bytes the full-state recurrence printed
-        ("coupon --exact --m 2000 --n 10000", "all_occupied=1.0774367759280787e-06 miss_prob=0.9999989225632241"),
+        ("coupon --exact --m 2000 --n 10000", "all_occupied=1.0774367759280787e-06\nmiss_prob=0.9999989225632241"),
         # (256, 1500) sums P(K = 0) without the difference table: the bytes the table printed
-        ("coupon --exact --m 256 --n 1500", "all_occupied=0.48234032695234985 miss_prob=0.5176596730476501"),
+        ("coupon --exact --m 256 --n 1500", "all_occupied=0.48234032695234985\nmiss_prob=0.5176596730476501"),
         # the m = 64 sample-complexity scan steps the throw recurrence to its answer, 345
         ("complexity --d 1 --D 2 --tau 0.00390625 --epsilon 0.25 --n-max 2000", "n_epsilon=345"),
         # two unit squares 9 apart at scale 1 give two components and two cycles through the neighbour sweep
         ("homology --input squares.csv --scale 1 --max-dim 2",
-         "points=8 scale=1.0 betti_0=2 betti_1=2 betti_2=0 euler_characteristic=0"),
+         "points=8\nscale=1.0\nbetti_0=2\nbetti_1=2\nbetti_2=0\neuler_characteristic=0"),
         # a 3-D pair whose squares, added in axis order, sum to just above scale**2 stays two components
         ("homology --input pair.csv --scale=0.08838834764831849 --max-dim 1",
-         "points=2 scale=0.08838834764831849 betti_0=2 betti_1=0 euler_characteristic=2"),
+         "points=2\nscale=0.08838834764831849\nbetti_0=2\nbetti_1=0\neuler_characteristic=2"),
         # a 3x3 unit grid at scale 1.5 is contractible; Betti numbers below the top come from its edge-collapsed core
         ("homology --input grid.csv --scale 1.5 --max-dim 3",
-         "points=9 scale=1.5 betti_0=1 betti_1=0 betti_2=0 betti_3=0 euler_characteristic=1"),
+         "points=9\nscale=1.5\nbetti_0=1\nbetti_1=0\nbetti_2=0\nbetti_3=0\neuler_characteristic=1"),
+        # 2400 seeded points in the unit cube, past the 2000-point budget, with 337 934 sweep candidates:
+        # betti0_linkage counts them over clique cells, as the sweep did before it
+        ("homology --input cloud.csv --scale 0.06 --max-dim 2",
+         "points=2400\nscale=0.06\nbetti_0=656\n# 2400 points exceed the full-complex budget of 2000; higher degrees skipped"),
     ],
-    ids=["risk-2000", "risk-4096", "coupon-2000", "coupon-256", "complexity-64", "squares", "pair", "grid"],
+    ids=["risk-2000", "risk-4096", "coupon-2000", "coupon-256", "complexity-64", "squares", "pair", "grid", "cells"],
 )
 def test_cli_prints_recorded_bytes(argv, stdout, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in POINT_FILES.items():
         (tmp_path / name).write_text(text, encoding="ascii")
+    save_points(tmp_path / "cloud.csv", np.random.default_rng(24).uniform(size=(2400, 3)))
     assert cli.main(argv.split()) == 0
-    assert capsys.readouterr().out == stdout.replace(" ", "\n") + "\n"
+    assert capsys.readouterr().out == stdout + "\n"
 
 
 def test_homology_circle_file(tmp_path):

@@ -227,6 +227,12 @@ def test_sample_is_deterministic_per_seed():
     assert a.realized_removed_index == b.realized_removed_index
     c = sample(pack, Hypothesis.mixture(), 250, seed=43)
     assert not np.array_equal(a.points, c.points)
+    # one generator re-keyed to each seed in turn, as the estimator's trials draw, gives the same bytes
+    rng = geometry._keyed(0)
+    for seed, want in ((42, a), (43, c), (42, a)):
+        again = geometry._sample(pack, Hypothesis.mixture(), 250, seed, rng)
+        assert again.points.tobytes() == want.points.tobytes()
+        assert again.realized_removed_index == want.realized_removed_index
 
 
 def test_sample_assignments_matches_full_sampler():

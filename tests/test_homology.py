@@ -177,6 +177,16 @@ def test_betti_reduces_the_collapsed_core(monkeypatch):
     assert len(handed) == 2 and handed[1] < 24453 // 10
 
 
+def test_collapse_keeps_the_edges_of_the_unpruned_search():
+    rng = np.random.default_rng(43)
+    clouds = [null_cloud_400(), circle_points(40), grid(2, 6), grid(3, 4)]
+    clouds += [rng.uniform(size=(150, dims)) for dims in (2, 3)]
+    for pts, scale in zip(clouds, (1 / 8, 0.2, 0.36, 0.45, 0.2, 0.35)):
+        complex_ = rips(pts, scale, 2)
+        n = complex_.vertex_count
+        assert homology._collapse_edges(n, complex_.edges) == oracles.collapse_edges_unpruned(n, complex_.edges)
+
+
 def vertices(n):
     return tuple((i,) for i in range(n))
 
@@ -461,8 +471,8 @@ def test_linkage_edges():
 
 
 def test_linkage_blocking_consistent_on_larger_set():
-    # 1300 points, three blocks of candidate pairs, the later two filtered by the forest;
-    # test_linkage_forest_across_many_blocks covers many.  Compare against the rips count and the oracle
+    # 1300 points in two dimensions, past one block of sweep candidates, so counted over cells;
+    # test_linkage_forest_across_many_blocks covers the sweep's forest.  Compare against the rips count and the oracle
     rng = np.random.default_rng(23)
     pts = rng.uniform(size=(1300, 2)) * 4.0
     scale = 0.09
@@ -538,7 +548,13 @@ def test_linkage_on_sweep_positions_at_ties(pts, scale, want):
 def test_linkage_matches_the_oracle_on_clouds_with_ties(cloud):
     pts, scale = cloud
     assume(pts.shape[0] > 0)
-    assert betti0_linkage(pts, scale).cluster_count == oracles.component_count(pts, scale)
+    want = oracles.component_count(pts, scale)
+    assert betti0_linkage(pts, scale).cluster_count == want
+    # at one candidate pair a block, a cloud of 2 or 3 dimensions with two candidates takes the cell path,
+    # and the others sweep in blocks of one pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_BLOCK_FLOATS", 8)
+        assert betti0_linkage(pts, scale).cluster_count == want
 
 
 def test_scale_edges_across_many_blocks(monkeypatch):
@@ -555,32 +571,36 @@ def test_scale_edges_across_many_blocks(monkeypatch):
 
 def test_linkage_forest_across_many_blocks(monkeypatch):
     # at most 20 candidate pairs a block, so the forest carries components from block to block,
-    # and every block after the first drops the candidates whose ends it has already joined
+    # and every block after the first drops the candidates whose ends it has already joined.
+    # Clouds of 2 or 3 dimensions with that many candidates take the cell path, so these have 1 or 4;
+    # the 4-D ones are 2-D clouds padded with zero axes, which change no distance and no sweep order
     monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8 * 20)
+    monkeypatch.setattr(homology, "_cell_components", None)
     tested = []
     near_pairs = homology._near_pairs
 
     def counted(*args):
         pairs = near_pairs(*args)
-        tested.append(pairs.shape[1])
+        tested.append(len(pairs[0]))
         return pairs
 
     monkeypatch.setattr(homology, "_near_pairs", counted)
     rng = np.random.default_rng(37)
-    for dims in (1, 2, 3):
+    for dims in (1, 4):
         pts = rng.uniform(size=(150, dims))
         pts[:15, 0] = 0.5
-        for scale in (0.02, 0.08, 0.3):
+        for scale in (0.02, 0.08, 0.3, 0.6):
             assert betti0_linkage(pts, scale).cluster_count == oracles.component_count(pts, scale)
     # a unit chain along axis 1 under a shuffled numbering: every first coordinate is equal,
     # so all 1770 pairs are candidates, and the chain's links fall in different blocks
-    chain = np.zeros((60, 2))
+    chain = np.zeros((60, 4))
     chain[rng.permutation(60), 1] = np.arange(60.0)
     assert betti0_linkage(chain, 1.0).cluster_count == 1
     cut = chain[np.abs(chain[:, 1] - 29.5) > 1.0]  # drops the points at 29 and 30
     assert betti0_linkage(cut, 1.0).cluster_count == oracles.component_count(cut, 1.0) == 2
     # a dense cloud: the first block joins most points, and the filter drops most later edges
     dense = np.vstack([rng.uniform(size=(120, 2)) * 0.1, rng.uniform(size=(80, 2)) * 0.1 + [0.3, 0.0]])
+    dense = np.pad(dense, ((0, 0), (0, 2)))
     tested.clear()
     assert betti0_linkage(dense, 0.05).cluster_count == oracles.component_count(dense, 0.05) == 2
     assert sum(tested) < _scale_edges(dense, 0.05).shape[1] / 4
@@ -589,7 +609,7 @@ def test_linkage_forest_across_many_blocks(monkeypatch):
     # furthest end seen, or the sixth point's link to the last one splits them again
     monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8)
     hooks = np.array([[0.0, 0.0], [0.01, 3.6], [0.02, 1.8], [0.03, 0.9], [0.04, 2.7], [0.05, -0.5]])
-    hooks = np.vstack([hooks, [[0.9, 0.3], [0.95, 3.9], [1.0, -0.8]]])
+    hooks = np.pad(np.vstack([hooks, [[0.9, 0.3], [0.95, 3.9], [1.0, -0.8]]]), ((0, 0), (0, 2)))
     assert betti0_linkage(hooks, 1.0).cluster_count == oracles.component_count(hooks, 1.0) == 1
 
 
@@ -607,6 +627,75 @@ def test_linkage_memory_is_bounded():
             tracemalloc.stop()
         assert count == want
         assert peak < 4_000_000
+
+
+def test_linkage_takes_the_cell_path_only_past_one_block_in_two_or_three_dimensions(monkeypatch):
+    calls = []
+    cell_components = homology._cell_components
+
+    def recorded(pts, scale):
+        calls.append(pts.shape)
+        return cell_components(pts, scale)
+
+    monkeypatch.setattr(homology, "_cell_components", recorded)
+    rng = np.random.default_rng(41)
+    # 400 points in the unit cube at scale 0.2: about 32 000 candidate pairs for the sweep, two blocks
+    for dims in (1, 2, 3, 4):
+        pts = rng.uniform(size=(400, dims))
+        assert homology._sweep(pts, 0.2)[1] > homology._BLOCK_FLOATS // 8
+        assert betti0_linkage(pts, 0.2).cluster_count == oracles.component_count(pts, 0.2)
+    assert calls == [(400, 2), (400, 3)]
+    # an estimator trial's 200 points on the README m = 4 pack, 3250 candidates, stay on the sweep
+    pack = build_pack(1, 2, 1 / 16)
+    trial = sample(pack, Hypothesis.null(), 200, 5).points
+    calls.clear()
+    assert betti0_linkage(trial, pack.radius).cluster_count == oracles.component_count(trial, pack.radius)
+    assert calls == []
+    # the candidate count is refused before either path tests a pair
+    monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8)
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 10)
+    monkeypatch.setattr(homology, "_near_pairs", None)
+    with pytest.raises(ValueError, match="15 candidate pairs, above the limit of 10"):
+        betti0_linkage(np.zeros((6, 2)), 1.0)
+    assert calls == []
+
+
+def test_cells_test_the_pairs_of_a_cell_that_fails_the_box_check():
+    # A corner at -1000 makes x + 1000 round to multiples of 2**-43, so cell 11370 of side
+    # fl(1/8 / sqrt 2) on each axis holds points from a to b, a little more than a side apart:
+    # the cell's box fails the edge rule, and so does the pair at its corners, while a point
+    # between them joins both
+    a, b = 4.9755127613804575, 5.06390110902879
+    scale = 1 / 8
+    side = scale / math.sqrt(2)
+    assert math.floor((a + 1000.0) / side) == math.floor((b + 1000.0) / side) == 11370
+    assert (b - a) ** 2 + (b - a) ** 2 > scale * scale
+    corners = np.array([[-1000.0, -1000.0], [a, a], [b, b]])
+    between = np.vstack([corners, [[5.02, 5.02]]])
+    # the corner at (a, a), the cell's first point, joins the cell at offset (1, 1) through the
+    # cells to its left and above within the first three offsets; the corner at (b, b) meets
+    # only that cell, at offset (1, 1), so the split cell's pairs must not be dropped there
+    around = np.vstack([corners, [[a - 0.05, a], [a - 0.05, a + 0.1], [a - 0.05, a + 0.2], [a + 0.03, a + 0.22]]])
+    around = np.vstack([around, [[b + 0.01, a + 0.17]]])
+    for cloud, want in ((corners, 3), (between, 2), (around, 2)):
+        assert homology._cell_components(cloud, scale) == oracles.component_count(cloud, scale) == want
+
+
+def test_cells_span_at_most_the_stated_number_of_cells_an_axis():
+    # A pair exactly the scale apart on axis 0 near the far end of the span, its cells two apart:
+    # x + 1.0 is exact here, so the pair is an edge and must be found at offset 2
+    span = homology._GRID_SPAN
+    side = 1.0 / math.sqrt(3)
+    x = (span - 3.5) * side
+    assert math.floor((x + 1.0) / side) - math.floor(x / side) == 2
+    for gap, want in ((1.0, 2), (1.0 + 2.0**-30, 3)):
+        cloud = np.array([[0.0, 0.0, 0.0], [x, 0.0, 0.0], [x + gap, 0.0, 0.0]])
+        assert homology._cell_components(cloud, 1.0) == oracles.component_count(cloud, 1.0) == want
+    # a point one cell further makes the axis span _GRID_SPAN cells: too wide for the cells, and the
+    # linkage counts that cloud, and one whose offsets overflow, on the sweep
+    wide = np.array([[0.0, 0.0, 0.0], [x, 0.0, 0.0], [x + 1.0, 0.0, 0.0], [span * side, 0.0, 0.0]])
+    assert homology._cell_components(wide, 1.0) is None
+    assert homology._cell_components(np.array([[-1e308, 0.0], [1e308, 0.0]]), 1.0) is None
 
 
 def test_scale_edges_frees_the_block_before_the_closing_sort(monkeypatch):
