@@ -14,9 +14,11 @@ trial with a word numpy would reject is drawn through geometry._draw_kept
 instead.  That map and the word order are numpy internals, pinned by
 golden tests.  Rows of trials are tallied in blocks of at most
 _DRAW_BUFFER choices, and a side refuses more than _MAX_DRAWS choices
-before drawing any.  Measured
-risk here is always over the constructed pack pair of hypotheses, not a
-worst case over anything larger.
+before drawing any.  The estimator draws each trial's points as
+geometry.sample does, into a batch of at most _BATCH_POINTS points, and
+counts each batch's components in one grouped call, one group a trial.
+Measured risk here is always over the constructed pack pair of
+hypotheses, not a worst case over anything larger.
 """
 from __future__ import annotations
 
@@ -28,9 +30,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import geometry, lrt, occupancy
+from . import geometry, homology, lrt, occupancy
 from .geometry import Hypothesis, SpherePack, derive_seed
-from .homology import homology_estimator
+from .homology import homology_estimator  # noqa: F401  kept as a harness name: bench/tracer.py rebinds it here
 
 TEST_KINDS = ("lrt", "occupancy", "estimator")
 
@@ -52,6 +54,12 @@ _DRAW_BUFFER = 1 << 16
 
 # Most sphere choices a side draws, trials times the largest sample size.
 _MAX_DRAWS = 1 << 32
+
+# Most points one batch of estimator trials holds, 4096: a batch's grouped component count holds
+# arrays of a few words a point beside its one block of at most _BLOCK_FLOATS words, so at 32 times
+# fewer points than block words those arrays stay a fraction of the block.  Twenty 200-point trials
+# of the README m = 4 pack fill a batch, and a side traces 0.93 MB at this cap, 1.46 MB at twice it.
+_BATCH_POINTS = homology._BLOCK_FLOATS // 32
 
 # Risk values outside this band are dropped before rate fitting: below it
 # Monte Carlo noise dominates, above it the flat cap regime bends the line.
@@ -305,18 +313,34 @@ def _count_rejections(
 
 
 def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int, n: int) -> int:
-    """Trials on which the plug-in test rejects, one full point sample of size n each."""
+    """Trials on which the plug-in test rejects, one full point sample of size n each.
+
+    Each trial is drawn by geometry._sample on its own keyed stream into a
+    row of one batch of at most _BATCH_POINTS points, or of one trial when
+    n is larger, and each filled batch takes one grouped component count
+    (homology._estimator_counts), with homology_estimator's checks.  The
+    edge rule reads two points only and no edge joins two trials, so each
+    count is the one homology_estimator gives its trial on the
+    component-count path.  A trial rejects, as lrt.test_from_estimator does,
+    when its count is below the sphere count.
+    """
     # The pack radius separates spheres while keeping within-sphere links;
     # callers may override anywhere in (0, 2*radius).
     scale = pack.radius if config.scale is None else float(config.scale)
-    rejections = 0
+    rows = min(config.trials, max(1, _BATCH_POINTS // max(n, 1)))
+    seeds = _trial_seeds(config.master_seed, config.trials, stream)
     rng = geometry._keyed(0)  # one generator a side, re-keyed to each trial's seed
-    for seed in _trial_seeds(config.master_seed, config.trials, stream):
-        samples = geometry._sample(pack, hypothesis, n, seed, rng)
-        # Budget 0 keeps every trial on the component-count path; the
-        # plug-in decision below only reads the leading Betti number.
-        profile = homology_estimator(pack, samples, scale, point_budget=0)
-        rejections += lrt.test_from_estimator(profile, pack)
+    batch = None  # allocated at the first draw, after _sample has checked n
+    rejections = 0
+    for start in range(0, config.trials, rows):
+        block = min(rows, config.trials - start)
+        for i, seed in enumerate(itertools.islice(seeds, block)):
+            points = geometry._sample(pack, hypothesis, n, seed, rng).points
+            if batch is None:
+                batch = np.empty((rows, *points.shape))
+            batch[i] = points
+        counts = homology._estimator_counts(pack, batch[:block], scale)
+        rejections += int(np.count_nonzero(counts < pack.count))
     return rejections
 
 

@@ -19,9 +19,13 @@ which tests only the pairs that axis leaves within reach; the component
 count takes the same sweep's pairs, except on 2-D and 3-D clouds with
 more than one block of candidates, where it counts over clique cells of
 side scale/sqrt(D) and tests only pairs of cells that the forest has not
-yet joined.  A pair is an edge when its squares, added in axis order, sum
-to at most the squared scale, so the edge set is the same on every numpy
-build, and both routes count the same components.
+yet joined.  The count takes groups of equally many points and counts
+each on its own, since no pair joins two groups: betti0_linkage is the
+count of one group, and the Monte Carlo harness counts a batch of
+estimator trials in one call, on the route that the batch's summed sweep
+candidates choose.  A pair is an edge when its squares, added in axis
+order, sum to at most the squared scale, so the edge set is the same on
+every numpy build, and both routes count the same components.
 """
 from __future__ import annotations
 
@@ -40,23 +44,25 @@ DEFAULT_POINT_BUDGET = 2000
 
 # Words of working memory in one block of candidate pairs, about eight a pair when every
 # candidate is an edge and six when few are: the neighbour pass's memory cap, 2**14 pairs or
-# about 1 MB, for rips' _scale_edges and both of betti0_linkage's routes alike.
+# about 1 MB, for rips' _scale_edges and both routes of the component count alike.
 _BLOCK_FLOATS = 1 << 17
 
-# Most candidate pairs one sweep may test (see _sweep), counted before any is tested, also when
-# betti0_linkage then counts over cells.  betti0_linkage holds no edge list, so this bounds its
-# work: about 1.2 s at the 18 ns a candidate of a 40 000-point cloud whose candidates are rarely
-# edges (one core of a 2-core VM).  The cells test only pairs under 3 sides, at most 2.13 scale,
-# apart on axis 0: at most 7 times the sweep's candidates plus 3 a point, as slabs of width scale
-# show.  The bench's 4000-point cloud has 3.0e6 sweep candidates, of which the cells test 1.7e5,
-# and rips' default point budget caps its own at 1 999 000.
+# Most candidate pairs the sweep may test in one group (see _sweep), counted before any is tested,
+# also when the count then goes over cells; a batch of groups may hold more in all.  betti0_linkage
+# holds no edge list, so this bounds its work: about 1.2 s at the 18 ns a candidate of a
+# 40 000-point cloud whose candidates are rarely edges (one core of a 2-core VM).  The cells test
+# only pairs under 3 sides, at most 2.13 scale, apart on axis 0: at most 7 times the sweep's
+# candidates plus 3 a point, as slabs of width scale show.  The bench's 4000-point cloud has 3.0e6
+# sweep candidates, of which the cells test 1.7e5, and rips' default point budget caps its own at
+# 1 999 000.
 _MAX_PAIRS = 1 << 26
 
-# Cells an axis must span fewer of for betti0_linkage to count over cells (see _cell_components);
-# a wider cloud stays on the sweep.  A pair that passes the edge rule lies at most sqrt(D) <= sqrt(3)
-# cells, plus a few ulps, apart on each axis, while a computed cell coordinate under 2**20 is off by
-# under 2**-30 cells, far under the quarter cell that sqrt(3) leaves below 2, so no edge joins cells
-# more than two apart.  The keys, with two cells of margin a side, stay below (2**20 + 5)**3 < 2**63.
+# Cells an axis must span fewer of for the component count to go over cells (see _cell_components),
+# with a batch's groups laid end to end on axis 0; a wider batch stays on the sweep.  A pair that
+# passes the edge rule lies at most sqrt(D) <= sqrt(3) cells, plus a few ulps, apart on each axis,
+# while a computed cell coordinate under 2**20 is off by under 2**-30 cells, far under the quarter
+# cell that sqrt(3) leaves below 2, so no edge joins cells more than two apart.  The keys, with two
+# cells of margin a side, stay below (2**20 + 5)**3 < 2**63.
 _GRID_SPAN = 1 << 20
 
 # Most simplices of one level that may be listed, or walked to count the level above (see
@@ -128,48 +134,60 @@ def _as_point_array(points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise ValueError("points must form a 2-d array, one point per row")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"point {i} has a non-finite coordinate: {pts[i].tolist()}")
+    _check_finite(pts)
     return pts
+
+
+def _check_finite(pts: np.ndarray) -> None:
+    """Refuse the first point with a non-finite coordinate, the points being the rows of pts' last two
+    axes, and name it by its row among them."""
+    finite = np.isfinite(pts).all(axis=-1)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"point {int(at[-1])} has a non-finite coordinate: {pts[at].tolist()}")
 
 
 def _sweep(
     pts: np.ndarray, scale: float, forest: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The order that sorts pts on axis 0, the number of candidate pairs the sweep tests, and the
-    pairs a < b of positions in that order whose points lie within scale, as blocks of two arrays of ends
+    """For points pts, (groups, n, D), with each group's rows laid end to end: the order that sorts
+    each group on axis 0, the number of candidate pairs the sweep tests in all groups, and the pairs
+    a < b of positions in that order whose points lie within scale, as blocks of two arrays of ends
     tested from at most _BLOCK_FLOATS // 8 candidate pairs.
 
     A pair is an edge when its squares, added in axis order, sum to at most
     scale * scale.  That one rule fixes the summation order, so the edge set
     is the same on every numpy build.  A sweep over the points sorted on
     axis 0 (Bentley, Stanat and Williams 1977): each point meets only the
-    later points whose axis-0 coordinate lies within scale of its own, plus a
-    few ulps, so that rounding drops no pair the rule accepts.  A point
-    whose window alone exceeds the cap is a block of its own.  Points with no
-    coordinates sweep as one zero axis, where every pair is an edge.  More
-    than _MAX_PAIRS candidates are refused before any block is built.  Given
-    a forest over sorted positions, each block after the first drops the
-    candidates whose ends share a forest entry before testing them; the
-    caller updates the forest in place between blocks.
+    later points of its group whose axis-0 coordinate lies within scale of
+    its own, plus a few ulps, so that rounding drops no pair the rule
+    accepts.  A point whose window alone exceeds the cap is a block of its
+    own.  Points with no coordinates sweep as one zero axis, where every
+    pair is an edge.  A group with more than _MAX_PAIRS candidates is
+    refused before any block is built.  Given a forest over sorted
+    positions, each block after the first drops the candidates whose ends
+    share a forest entry before testing them; the caller updates the forest
+    in place between blocks.
     """
-    n = pts.shape[0]
-    if pts.shape[1] == 0:
-        pts = np.zeros((n, 1))
-    order = np.argsort(pts[:, 0], kind="stable")
-    x = pts[order, 0]
-    reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
-    counts = np.searchsorted(x, reach, side="right") - np.arange(1, n + 1)
-    candidates = int(counts.sum())
-    _check_pairs(candidates)
+    groups, n, dims = pts.shape
+    if dims == 0:
+        pts, dims = np.zeros((groups, n, 1)), 1
+    order = np.argsort(pts[:, :, 0], axis=1, kind="stable")
+    x = np.take_along_axis(pts[:, :, 0], order, axis=1)
+    with np.errstate(over="ignore"):  # a window past the float range reaches every later point
+        reach = x + scale + 4.0 * (np.spacing(np.abs(x)) + np.spacing(scale))
+    ends = np.array([np.searchsorted(row, row_reach, side="right") for row, row_reach in zip(x, reach)])
+    counts = ends - np.arange(1, n + 1)
+    per_group = counts.sum(axis=1)
+    _check_pairs(int(per_group[np.argmax(per_group > _MAX_PAIRS)]))  # the first group over the limit, if any
+    order = (order + n * np.arange(groups)[:, None]).ravel()
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        rows = np.arange(n)
-        yield from _tested_blocks(pts[order].T.copy(), rows, rows + 1, counts, scale * scale, forest)
+        rows = np.arange(groups * n)
+        cols = pts.reshape(groups * n, dims)[order].T.copy()
+        yield from _tested_blocks(cols, rows, rows + 1, counts.ravel(), scale * scale, forest)
 
-    return order, candidates, blocks()
+    return order, int(per_group.sum()), blocks()
 
 
 def _check_pairs(count: int) -> None:
@@ -212,14 +230,15 @@ def _near_pairs(
     if forest is not None:
         apart = forest[first] != forest[second]
         first, second = first[apart], second[apart]
-    d2 = cols[0][first]
-    d2 -= cols[0][second]
-    d2 *= d2
-    for col in cols[1:]:
-        d = col[first]
-        d -= col[second]
-        d *= d
-        d2 += d
+    with np.errstate(over="ignore"):  # an overflowed square is inf, above any s2, so not an edge
+        d2 = cols[0][first]
+        d2 -= cols[0][second]
+        d2 *= d2
+        for col in cols[1:]:
+            d = col[first]
+            d -= col[second]
+            d *= d
+            d2 += d
     near = d2 <= s2
     del d2
     return first[near], second[near]
@@ -229,7 +248,7 @@ def _scale_edges(pts: np.ndarray, scale: float) -> np.ndarray:
     """Pairs i < j with |pts[i] - pts[j]| <= scale as a (2, E) array, sorted by (i, j):
     the sweep's pairs relabelled to row indices and sorted once through the key i * n + j."""
     n = pts.shape[0]
-    order, _, blocks = _sweep(pts, scale)
+    order, _, blocks = _sweep(pts[None], scale)
     keys = [np.minimum(i, j) * n + np.maximum(i, j) for i, j in ((order[a], order[b]) for a, b in blocks)]
     return np.stack(np.divmod(np.sort(np.concatenate([np.empty(0, dtype=int), *keys])), n))
 
@@ -452,7 +471,7 @@ def _hook(parent: np.ndarray, first: np.ndarray, second: np.ndarray, span: np.nd
         root_a, root_b = root_a[joins], root_b[joins]
         np.maximum.at(parent, np.minimum(root_a, root_b), np.maximum(root_a, root_b))
         first, second = first[joins], second[joins]
-        while not np.array_equal(hop := parent[span], span):
+        while ((hop := parent[span]) != span).any():
             span[:] = hop
 
 
@@ -467,43 +486,49 @@ def _cell_offsets(dims: int) -> np.ndarray:
 _CELL_OFFSETS = {dims: _cell_offsets(dims) for dims in (2, 3)}
 
 
-def _cell_components(pts: np.ndarray, scale: float) -> int | None:
-    """Components of the scale graph of pts in 2 or 3 dimensions counted over clique cells, or None
-    when an axis spans _GRID_SPAN cells or more.
+def _cell_components(pts: np.ndarray, scale: float) -> np.ndarray | None:
+    """Components of the scale graph of each group of pts, (groups, n, D) in 2 or 3 dimensions,
+    counted over clique cells, or None when the groups' grids, laid end to end on axis 0, span
+    _GRID_SPAN cells or more on an axis.
 
     Cells of side scale / sqrt(D) (Bentley, Stanat and Williams 1977; de Berg,
-    Gunawan and Speckmann 2019), keyed by int64 cell coordinates.  A cell whose
-    bounding box passes the edge rule is one unit of the forest: rounding is
-    monotone, so every pair in it passes the same rule.  Each point of a cell
-    that fails the check is a unit of its own, and the cell's pairs are tested
-    first.  Every edge joins cells at most two apart on each axis (see
-    _GRID_SPAN), so the offsets in {-2..2}^D, nearest first, cover them all.
-    For each offset the cell pairs whose units the forest already joins are
-    dropped before any point pair is made, and the rest are tested with the
-    one edge rule in blocks of at most _BLOCK_FLOATS // 8 candidates.
+    Gunawan and Speckmann 2019), each group's from its own lowest corner,
+    keyed by int64 cell coordinates with the group in the most significant
+    part.  A cell whose bounding box passes the edge rule is one unit of the
+    forest: rounding is monotone, so every pair in it passes the same rule.
+    Each point of a cell that fails the check is a unit of its own, and the
+    cell's pairs are tested first.  Every edge joins cells at most two apart
+    on each axis (see _GRID_SPAN), so the offsets in {-2..2}^D, nearest
+    first, cover them all, and two cells of margin a side keep every offset
+    inside its group's keys.  For each offset the cell pairs whose units the
+    forest already joins are dropped before any point pair is made, and the
+    rest are tested with the one edge rule in blocks of at most
+    _BLOCK_FLOATS // 8 candidates.
     """
-    n, dims = pts.shape
+    groups, n, dims = pts.shape
     with np.errstate(over="ignore"):  # a cloud whose extent overflows spans inf cells
-        cells = np.floor((pts - pts.min(axis=0)) / (scale / math.sqrt(dims)))
-    span = cells.max(axis=0)
-    if not (span < _GRID_SPAN).all():
+        cells = np.floor((pts - pts.min(axis=1, keepdims=True)) / (scale / math.sqrt(dims)))
+    span = cells.max(axis=(0, 1))
+    rise = span[0] + 5  # axis-0 cells of one group's grid with its margins
+    if not (np.append(groups * rise - 5, span[1:]) < _GRID_SPAN).all():
         return None
-    # two cells of margin on each side, so no offset carries a coordinate into the next axis
+    # two cells of margin on each side, so no offset carries a coordinate into the next axis or group
     strides = np.append(np.cumprod(span[:0:-1].astype(np.int64) + 5)[::-1], 1)
-    keys = (cells.astype(np.int64) + 2) @ strides
+    keys = (cells.astype(np.int64) + 2) @ strides + np.arange(groups)[:, None] * (int(rise) * int(strides[0]))
     del cells
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    cols = pts[order].T.copy()
+    order = np.argsort(keys.ravel(), kind="stable")
+    keys = keys.ravel()[order]
+    cols = pts.reshape(groups * n, dims)[order].T.copy()
     del order
     starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-    sizes = np.diff(np.append(starts, n))
+    sizes = np.diff(np.append(starts, groups * n))
     keys = keys[starts]
     s2 = scale * scale
     box = 0.0
-    for col in cols:
-        d = np.maximum.reduceat(col, starts) - np.minimum.reduceat(col, starts)
-        box = box + d * d
+    with np.errstate(over="ignore"):  # as in _near_pairs
+        for col in cols:
+            d = np.maximum.reduceat(col, starts) - np.minimum.reduceat(col, starts)
+            box = box + d * d
     whole = box <= s2
     fresh = np.repeat(~whole, sizes)
     fresh[starts] = True
@@ -515,7 +540,8 @@ def _cell_components(pts: np.ndarray, scale: float) -> int | None:
         for first, second in _tested_blocks(cols, rows, run_starts, lengths, s2):
             first, second = unit[first], unit[second]
             # the edges of one row, or of all rows of a whole cell, repeat one pair of units
-            new = (np.diff(first, prepend=-1) != 0) | (np.diff(second, prepend=-1) != 0)
+            new = np.ones(first.size, dtype=bool)
+            new[1:] = (first[1:] != first[:-1]) | (second[1:] != second[:-1])
             _hook(parent, first[new], second[new], parent)
             del first, second  # freed before the next block is tested
 
@@ -533,46 +559,60 @@ def _cell_components(pts: np.ndarray, scale: float) -> int | None:
         a, b = a[apart], b[apart]
         if a.size:
             hook(_ranges(starts[a], sizes[a]), np.repeat(starts[b], sizes[a]), np.repeat(sizes[b], sizes[a]))
-    return int(np.count_nonzero(parent == np.arange(parent.size)))
+    # sorted positions keep the groups in order, n each; a root is counted at its unit's first point
+    return np.count_nonzero((fresh & (parent[unit] == unit)).reshape(groups, n), axis=1)
 
 
-def betti0_linkage(points, threshold: float) -> ClusterEstimate:
-    """Component count of the graph with edges at distance <= threshold.
+def _components(pts: np.ndarray, scale: float) -> np.ndarray:
+    """Component count of the scale graph of each group of pts, (groups, n, D) with n >= 1.
 
     Vectorised hook-and-compress (Shiloach and Vishkin 1982) over the sweep's
-    pairs, left in sorted positions since labels do not change a count.
-    Each block of pairs is hooked into one forest as soon as it is tested.
-    Roots lie above their members, so a block reads and compresses only the
-    positions from its first edge up to the furthest end any block has
-    reached, and no later block reads below its first edge.  Blocks after
-    the first drop the candidates whose ends the forest has already joined
-    before testing them.  In 2 or 3 dimensions, when the sweep would test
-    more than one block of candidates, the count is taken over clique cells
-    instead (see _cell_components), which tests far fewer pairs on large
-    clouds; a cloud too wide for the cells' int64 keys stays on the sweep.
-    Either way memory is one block of at most _BLOCK_FLOATS words plus
-    arrays of a few entries a point; no point budget.
+    pairs, left in sorted positions since labels do not change a count; no
+    pair joins two groups, so each group's roots are its count.  Each block
+    of pairs is hooked into one forest as soon as it is tested.  Roots lie
+    above their members, so a block reads and compresses only the positions
+    from its first edge up to the furthest end any block has reached, and
+    no later block reads below its first edge.  Blocks after the first drop
+    the candidates whose ends the forest has already joined before testing
+    them.  In 2 or 3 dimensions, when the sweep would test more than one
+    block of candidates in all groups together, the count is taken over
+    clique cells instead (see _cell_components), which tests far fewer pairs
+    on large clouds; groups too wide for the cells' int64 keys stay on the
+    sweep.  Either way memory is one block of at most _BLOCK_FLOATS words
+    plus arrays of a few entries a point.
     """
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    pts = _as_point_array(points)
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("no points to cluster")
-    parent = np.arange(n)
-    _, candidates, blocks = _sweep(pts, threshold, parent)
-    if pts.shape[1] in (2, 3) and candidates > _BLOCK_FLOATS // 8:
-        roots = _cell_components(pts, threshold)
-        if roots is not None:
-            return ClusterEstimate(threshold=float(threshold), cluster_count=roots)
+    groups, n, dims = pts.shape
+    parent = np.arange(groups * n)
+    _, candidates, blocks = _sweep(pts, scale, parent)
+    if dims in (2, 3) and candidates > _BLOCK_FLOATS // 8:
+        counts = _cell_components(pts, scale)
+        if counts is not None:
+            return counts
     top = 0
     for first, second in blocks:
         if first.size:
             top = max(top, int(second.max()) + 1)
             _hook(parent, first, second, parent[first[0] : top])
         del first, second  # freed before the next block is tested
-    roots = int(np.count_nonzero(parent == np.arange(n)))
-    return ClusterEstimate(threshold=float(threshold), cluster_count=roots)
+    return np.count_nonzero((parent == np.arange(groups * n)).reshape(groups, n), axis=1)
+
+
+def betti0_linkage(points, threshold: float) -> ClusterEstimate:
+    """Component count of the graph with edges at distance <= threshold.
+
+    The points are one group of the grouped count (see _components): the
+    neighbour sweep's pairs, or in 2 or 3 dimensions past one block of
+    sweep candidates the clique cells', hooked into one forest block by
+    block.  Memory is one block of at most _BLOCK_FLOATS words plus arrays
+    of a few entries a point; no point budget.  More than _MAX_PAIRS sweep
+    candidates are refused before any pair is tested.
+    """
+    if not threshold > 0.0:
+        raise ValueError("threshold must be positive")
+    pts = _as_point_array(points)
+    if pts.shape[0] == 0:
+        raise ValueError("no points to cluster")
+    return ClusterEstimate(threshold=float(threshold), cluster_count=int(_components(pts[None], threshold)[0]))
 
 
 def _budgeted_profile(points, scale: float, max_dim: int, point_budget: int) -> BettiProfile:
@@ -603,11 +643,23 @@ def homology_estimator(
     count is, and the profile collapses to its degree-zero part, whose
     Euler characteristic is that of the component-collapsed space.
     """
+    _check_estimate(pack, scale, samples.n)
+    dim = min(pack.intrinsic_dim + 1, MAX_COMPLEX_DIM) if max_dim is None else max_dim
+    return _budgeted_profile(samples.points, scale, dim, point_budget)
+
+
+def _check_estimate(pack: SpherePack, scale: float, n: int) -> None:
     if not 0.0 < scale < 2.0 * pack.radius:
         raise ValueError(
             f"scale {scale!r} outside (0, {2.0 * pack.radius!r}); spheres would merge or nothing connects"
         )
-    if samples.n == 0:
+    if n == 0:
         raise ValueError("cannot estimate homology from an empty sample")
-    dim = min(pack.intrinsic_dim + 1, MAX_COMPLEX_DIM) if max_dim is None else max_dim
-    return _budgeted_profile(samples.points, scale, dim, point_budget)
+
+
+def _estimator_counts(pack: SpherePack, points: np.ndarray, scale: float) -> np.ndarray:
+    """beta_0 of each trial's sample in points, (trials, n, D), after homology_estimator's checks: for
+    each trial, the one entry of homology_estimator(pack, its sample, scale, point_budget=0)."""
+    _check_estimate(pack, scale, points.shape[1])
+    _check_finite(points)
+    return _components(points, scale)

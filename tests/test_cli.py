@@ -331,6 +331,8 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     assert sweep_sha256 == "b8fe481743fda84cdd5330dcfe29b97cd2629e9cb00bf15c1214b53bacd32466"
 
 
+MC_NOTE = "# risk measured over the constructed sphere-pack hypothesis pair only"
+
 POINT_FILES = {
     "squares.csv": "0,0\n1,0\n1,1\n0,1\n10,0\n11,0\n11,1\n10,1\n",
     "pair.csv": "0.0,0.0,0.0\n0.0625,3.026798367500305e-09,0.0625\n",
@@ -367,8 +369,24 @@ POINT_FILES = {
         # betti0_linkage counts them over clique cells, as the sweep did before it
         ("homology --input cloud.csv --scale 0.06 --max-dim 2",
          "points=2400\nscale=0.06\nbetti_0=656\n# 2400 points exceed the full-complex budget of 2000; higher degrees skipped"),
+        # estimator trials on the README m = 4 pack, counted 20 to a batch over clique cells, the last
+        # batch of 10: the bytes one betti0_linkage call per trial printed
+        ("risk-mc --d 1 --D 2 --tau 0.0625 --n 200 --trials 250 --seed 11 --test estimator --scale 0.03",
+         f"{MC_NOTE}\ntest=estimator\nn=200\ntrials=250\ntype_I_hat=0.0\ntype_II_hat=0.15600000000000003\n"
+         "risk_hat=0.15600000000000003\nstderr=0.022948986905743794"),
+        # 3-D trials, each about 5900 sweep candidates, 20 to a batch over clique cells
+        ("risk-mc --d 2 --D 3 --tau 0.125 --n 200 --trials 100 --seed 3 --test estimator --scale 0.09",
+         f"{MC_NOTE}\ntest=estimator\nn=200\ntrials=100\ntype_I_hat=0.0\ntype_II_hat=0.040000000000000036\n"
+         "risk_hat=0.040000000000000036\nstderr=0.019595917942265433"),
+        # 16-point trials, 256 to a batch with fewer sweep candidates than one block, so on the sweep
+        ("risk-mc --d 1 --D 2 --tau 0.0625 --n 16 --trials 600 --seed 7 --test estimator --scale 0.12",
+         f"{MC_NOTE}\ntest=estimator\nn=16\ntrials=600\ntype_I_hat=0.028333333333333332\n"
+         "type_II_hat=0.08499999999999996\nrisk_hat=0.1133333333333333\nstderr=0.013247990763102879"),
     ],
-    ids=["risk-2000", "risk-4096", "coupon-2000", "coupon-256", "complexity-64", "squares", "pair", "grid", "cells"],
+    ids=[
+        "risk-2000", "risk-4096", "coupon-2000", "coupon-256", "complexity-64", "squares", "pair", "grid", "cells",
+        "estimator-cells", "estimator-cells-3d", "estimator-sweep",
+    ],
 )
 def test_cli_prints_recorded_bytes(argv, stdout, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -377,6 +395,35 @@ def test_cli_prints_recorded_bytes(argv, stdout, tmp_path, monkeypatch, capsys):
     save_points(tmp_path / "cloud.csv", np.random.default_rng(24).uniform(size=(2400, 3)))
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == stdout + "\n"
+
+
+def test_estimator_sweep_csv_keeps_its_bytes(tmp_path, monkeypatch):
+    # rows at n = 10 sweep in one batch of 100 trials; the others take clique cells in some batches
+    # and the sweep in the rest: the bytes one betti0_linkage call per trial wrote
+    monkeypatch.chdir(tmp_path)
+    argv = ("sweep --d 1 --D 2 --tau 0.0625 --n-min 10 --n-max 190 --n-step 60 --trials 100 --seed 3 "
+            "--test estimator --delta 0.5 --scale 0.05 --out est.csv")
+    assert cli.main(argv.split()) == 0
+    digest = hashlib.sha256((tmp_path / "est.csv").read_bytes()).hexdigest()
+    assert digest == "6a0e88a859442db90d65af497b8169e3d28fa3716a16da65c6b8575f7d00c902"
+
+
+def test_readme_library_tour_prints_its_recorded_values(capsys):
+    block = re.search(r"## Library quick tour\n.*?```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block.group(1), str(README), "exec"), {})
+    assert capsys.readouterr().out == (
+        "0.6136595668998139\n0.38634043310018606 0.0 0.38634043310018606\n1\n0.0\n"
+    )
+
+
+def test_homology_on_coordinates_past_the_float_range_apart_writes_no_warning(tmp_path):
+    # the second coordinates differ by more than the largest float; the distance test overflows quietly
+    path = tmp_path / "far.csv"
+    path.write_text("0.0,-1e308\n0.0,1e308\n", encoding="ascii")
+    proc = run_cli("homology", "--input", str(path), "--scale", "1", "--max-dim", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "points=2\nscale=1.0\nbetti_0=2\nbetti_1=0\neuler_characteristic=2\n"
 
 
 def test_homology_circle_file(tmp_path):

@@ -24,6 +24,8 @@ from homrisk import (
     mc_risk,
     geometry,
     harness,
+    homology,
+    homology_estimator,
     occupancy,
     prob_all_occupied,
     sample,
@@ -33,6 +35,7 @@ from homrisk import (
     sweep_n,
     trial_seed,
 )
+from homrisk.lrt import test_from_estimator as plugin_decision  # aliased, so pytest does not collect it
 
 M2 = dict(intrinsic_dim=1, ambient_dim=2, radius=0.15)       # 2 spheres
 M4 = dict(intrinsic_dim=1, ambient_dim=2, radius=1 / 16)     # 4 spheres
@@ -431,6 +434,74 @@ def test_estimator_risk_dominates_ratio_test():
     est = mc_risk(config)
     floor = exact_lrt_risk(4, 50).total
     assert est.risk_hat >= floor - 4 * est.stderr
+
+
+SIDES = ((Hypothesis.null(), harness._NULL_STREAM), (Hypothesis.mixture(), harness._MIXTURE_STREAM))
+
+
+def trial_samples(config, hypothesis, stream):
+    pack = build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
+    for t in range(config.trials):
+        yield pack, sample(pack, hypothesis, config.n, trial_seed(config.master_seed, t, stream))
+
+
+@pytest.mark.parametrize(
+    "shape, n, trials, scale",
+    [
+        ((1, 2, 1 / 16), 200, 45, 0.03),  # 20 trials a batch on the cells, the last batch of 5
+        ((1, 2, 1 / 16), 200, 45, 0.01),  # some batches on the cells, some on the sweep
+        ((2, 3, 1 / 8), 150, 30, 0.09),  # D = 3 on the cells
+        ((1, 2, 1 / 16), 16, 300, 0.12),  # 256 trials a batch on the sweep
+        ((1, 2, 0.15), 1, 50, 0.15),  # one point a trial
+        ((1, 3, 1 / 16), 5000, 2, None),  # more points than one batch holds: one trial a batch
+    ],
+)
+def test_batched_estimator_trials_reject_as_one_estimator_call_each(shape, n, trials, scale):
+    config = TrialConfig(*shape, n=n, trials=trials, master_seed=29, test_kind="estimator", scale=scale)
+    for hypothesis, stream in SIDES:
+        want = 0
+        for pack, drawn in trial_samples(config, hypothesis, stream):
+            profile = homology_estimator(pack, drawn, pack.radius if scale is None else scale, point_budget=0)
+            want += plugin_decision(profile, pack)
+        assert harness._estimator_rejections(config, harness._build(config), hypothesis, stream, n) == want
+
+
+def test_estimator_trials_are_refused_as_homology_estimator_refuses_them(monkeypatch):
+    config = TrialConfig(**M4, n=200, trials=30, master_seed=1, test_kind="estimator")
+    with pytest.raises(ValueError, match=r"^scale 0.5 outside \(0, 0.125\); spheres would merge or nothing connects$"):
+        mc_risk(replace(config, scale=0.5))
+    with pytest.raises(ValueError, match="^cannot estimate homology from an empty sample$"):
+        mc_risk(replace(config, n=0))
+    # at 3000 candidate pairs a trial, about half of the 200-point trials are over the limit;
+    # the side names the first of them, as the trial-by-trial estimator did
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 3000)
+    messages = []
+    for pack, drawn in trial_samples(config, Hypothesis.null(), harness._NULL_STREAM):
+        try:
+            homology_estimator(pack, drawn, pack.radius, point_budget=0)
+        except ValueError as refused:
+            messages.append(str(refused))
+    assert 0 < len(messages) < config.trials
+    with pytest.raises(ValueError) as refused:
+        mc_risk(config)
+    assert str(refused.value) == messages[0]
+
+
+def test_estimator_side_memory_is_bounded():
+    # A side holds one batch of at most _BATCH_POINTS points and the grouped count's one block of at most
+    # _BLOCK_FLOATS words, plus arrays of a few words a point: under 8 * (_BLOCK_FLOATS + 8 * _BATCH_POINTS)
+    # bytes, 1.3 MB.  The README m = 4 pack at n = 200 traced 0.93 MB at 4096 points a batch, 1.46 MB at
+    # 8192 and 2.27 MB at 16 384
+    config = TrialConfig(**M4, n=200, trials=200, master_seed=1, test_kind="estimator")
+    pack = harness._build(config)
+    harness._estimator_rejections(replace(config, trials=2), pack, Hypothesis.null(), harness._NULL_STREAM, 200)
+    tracemalloc.start()
+    try:
+        harness._estimator_rejections(config, pack, Hypothesis.null(), harness._NULL_STREAM, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (homology._BLOCK_FLOATS + 8 * harness._BATCH_POINTS)
 
 
 def test_sweep_shapes_and_columns():

@@ -642,9 +642,9 @@ def test_linkage_takes_the_cell_path_only_past_one_block_in_two_or_three_dimensi
     # 400 points in the unit cube at scale 0.2: about 32 000 candidate pairs for the sweep, two blocks
     for dims in (1, 2, 3, 4):
         pts = rng.uniform(size=(400, dims))
-        assert homology._sweep(pts, 0.2)[1] > homology._BLOCK_FLOATS // 8
+        assert homology._sweep(pts[None], 0.2)[1] > homology._BLOCK_FLOATS // 8
         assert betti0_linkage(pts, 0.2).cluster_count == oracles.component_count(pts, 0.2)
-    assert calls == [(400, 2), (400, 3)]
+    assert calls == [(1, 400, 2), (1, 400, 3)]
     # an estimator trial's 200 points on the README m = 4 pack, 3250 candidates, stay on the sweep
     pack = build_pack(1, 2, 1 / 16)
     trial = sample(pack, Hypothesis.null(), 200, 5).points
@@ -678,7 +678,8 @@ def test_cells_test_the_pairs_of_a_cell_that_fails_the_box_check():
     around = np.vstack([corners, [[a - 0.05, a], [a - 0.05, a + 0.1], [a - 0.05, a + 0.2], [a + 0.03, a + 0.22]]])
     around = np.vstack([around, [[b + 0.01, a + 0.17]]])
     for cloud, want in ((corners, 3), (between, 2), (around, 2)):
-        assert homology._cell_components(cloud, scale) == oracles.component_count(cloud, scale) == want
+        assert homology._cell_components(cloud[None], scale).tolist() == [want]
+        assert oracles.component_count(cloud, scale) == want
 
 
 def test_cells_span_at_most_the_stated_number_of_cells_an_axis():
@@ -690,12 +691,155 @@ def test_cells_span_at_most_the_stated_number_of_cells_an_axis():
     assert math.floor((x + 1.0) / side) - math.floor(x / side) == 2
     for gap, want in ((1.0, 2), (1.0 + 2.0**-30, 3)):
         cloud = np.array([[0.0, 0.0, 0.0], [x, 0.0, 0.0], [x + gap, 0.0, 0.0]])
-        assert homology._cell_components(cloud, 1.0) == oracles.component_count(cloud, 1.0) == want
+        assert homology._cell_components(cloud[None], 1.0).tolist() == [want]
+        assert oracles.component_count(cloud, 1.0) == want
     # a point one cell further makes the axis span _GRID_SPAN cells: too wide for the cells, and the
     # linkage counts that cloud, and one whose offsets overflow, on the sweep
     wide = np.array([[0.0, 0.0, 0.0], [x, 0.0, 0.0], [x + 1.0, 0.0, 0.0], [span * side, 0.0, 0.0]])
-    assert homology._cell_components(wide, 1.0) is None
-    assert homology._cell_components(np.array([[-1e308, 0.0], [1e308, 0.0]]), 1.0) is None
+    assert homology._cell_components(wide[None], 1.0) is None
+    assert homology._cell_components(np.array([[[-1e308, 0.0], [1e308, 0.0]]]), 1.0) is None
+
+
+@st.composite
+def batches(draw):
+    """Equal-sized groups drawn like clouds(), each shifted by its own offset."""
+    dims = draw(st.integers(1, 4))
+    groups = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1 / 16, 1e-2, 0.25]) | st.floats(1e-3, 2.0))
+    step = draw(st.sampled_from([scale, scale / 2, scale / 3, 0.0]))
+    coord = st.integers(-6, 6).map(lambda k: k * step) | st.floats(-4.0, 4.0).map(lambda v: v * scale)
+    offsets = draw(st.lists(st.sampled_from([0.0, -1e3, 1e3]), min_size=groups, max_size=groups))
+    rows = draw(st.lists(st.lists(coord, min_size=dims, max_size=dims), min_size=groups * n, max_size=groups * n))
+    return np.array(rows, dtype=float).reshape(groups, n, dims) + np.array(offsets)[:, None, None], scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches())
+def test_the_grouped_count_is_each_groups_own_count(batch):
+    pts, scale = batch
+    want = [oracles.component_count(group, scale) for group in pts]
+    assert [betti0_linkage(group, scale).cluster_count for group in pts] == want
+    assert homology._components(pts, scale).tolist() == want  # at most 60 points: the sweep
+    if pts.shape[2] in (2, 3):
+        cells = homology._cell_components(pts, scale)
+        assert cells is not None and cells.tolist() == want
+    # at one candidate pair a block, a batch of 2 or 3 dimensions with two candidates in all
+    # takes the cell path, whatever each group alone would take
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_BLOCK_FLOATS", 8)
+        assert homology._components(pts, scale).tolist() == want
+
+
+def test_the_grouped_count_takes_one_route_for_the_whole_batch(monkeypatch):
+    routes = []
+    cell_components = homology._cell_components
+
+    def recorded(pts, scale):
+        counts = cell_components(pts, scale)
+        routes.append(None if counts is None else pts.shape)
+        return counts
+
+    monkeypatch.setattr(homology, "_cell_components", recorded)
+    pack = build_pack(1, 2, 1 / 16)
+    trials = np.stack([sample(pack, Hypothesis.null(), 200, seed).points for seed in range(20)])
+    want = [oracles.component_count(trial, pack.radius) for trial in trials[:3]]
+    # one trial has about 3200 sweep candidates, under one block of 16 384; twenty have more
+    block = homology._BLOCK_FLOATS // 8
+    assert homology._sweep(trials[:1], pack.radius)[1] < block < homology._sweep(trials, pack.radius)[1]
+    assert [betti0_linkage(trial, pack.radius).cluster_count for trial in trials[:3]] == want
+    assert routes == []
+    assert homology._components(trials, pack.radius).tolist()[:3] == want
+    assert routes == [(20, 200, 2)]
+    # groups of one point have no candidates at all and sweep, in any dimension
+    routes.clear()
+    for dims in (1, 2, 3, 4):
+        lone = np.random.default_rng(dims).uniform(size=(7, 1, dims))
+        assert homology._components(lone, 0.5).tolist() == [1] * 7
+    assert routes == []
+
+
+def test_a_batch_wider_than_the_grid_span_stays_on_the_sweep(monkeypatch):
+    # Each group alone spans 2**19 cells of side 1/sqrt(2) on axis 0, well inside the grid; two of them
+    # laid end to end, each with two cells of margin a side, span 2 * (2**19 + 5) - 5 >= _GRID_SPAN cells
+    side = 1.0 / math.sqrt(2)
+    shape = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 0.5]])
+    far, near = ((homology._GRID_SPAN // 2 + lift + 0.5) * side for lift in (0, -4))
+    wide = shape + [[0.0, 0.0], [0.0, 0.0], [far, 0.0], [far, 0.0]]
+    narrow = shape + [[0.0, 0.0], [0.0, 0.0], [near, 0.0], [near, 0.0]]
+    assert homology._cell_components(wide[None], 1.0).tolist() == [2]
+    assert homology._cell_components(np.stack([wide, wide + 3.0]), 1.0) is None
+    # 2 * (2**19 - 4 + 5) - 5 cells fit
+    assert homology._cell_components(np.stack([narrow, narrow + 3.0]), 1.0).tolist() == [2, 2]
+    routes = []
+    cell_components = homology._cell_components
+    monkeypatch.setattr(homology, "_cell_components", lambda pts, scale: routes.append(cell_components(pts, scale)))
+    monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8)
+    assert homology._components(np.stack([wide, wide + 3.0]), 1.0).tolist() == [2, 2]
+    assert routes == [None]
+
+
+def test_the_grouped_count_refuses_candidate_pairs_per_group(monkeypatch):
+    # six points on axis 0 at scale 2.5: spaced 1 apart they are 9 candidate pairs, spaced 0.6
+    # apart 14 and spaced 0.1 apart 15
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 10)
+    nine, fourteen, fifteen = (np.arange(6.0)[:, None] * [gap, 0.0] for gap in (1.0, 0.6, 0.1))
+    assert betti0_linkage(nine, 2.5).cluster_count == 1
+    # 27 candidates in all, but none of the three groups is over the limit
+    assert homology._components(np.stack([nine, nine, nine]), 2.5).tolist() == [1, 1, 1]
+    refusals = []
+    for over in (fourteen, fifteen):
+        with pytest.raises(ValueError, match=r"candidate pairs, above the limit of 10") as refused:
+            betti0_linkage(over, 2.5)
+        refusals.append(str(refused.value))
+    assert refusals == ["14 candidate pairs, above the limit of 10", "15 candidate pairs, above the limit of 10"]
+    # the first group over the limit is named, before any pair is tested, on either route
+    monkeypatch.setattr(homology, "_near_pairs", None)
+    for block_floats in (homology._BLOCK_FLOATS, 8):
+        monkeypatch.setattr(homology, "_BLOCK_FLOATS", block_floats)
+        for batch, message in (([nine, fourteen, fifteen], refusals[0]), ([fifteen, nine, fourteen], refusals[1])):
+            with pytest.raises(ValueError) as refused:
+                homology._components(np.stack(batch), 2.5)
+            assert str(refused.value) == message
+
+
+def test_the_estimator_count_keeps_the_estimators_checks():
+    pack = build_pack(1, 2, 1 / 16)
+    trials = np.stack([sample(pack, Hypothesis.null(), 50, seed).points for seed in range(3)])
+    assert homology._estimator_counts(pack, trials, pack.radius).tolist() == [
+        homology_estimator(pack, sample(pack, Hypothesis.null(), 50, seed), pack.radius, point_budget=0).betti[0]
+        for seed in range(3)
+    ]
+    drawn = sample(pack, Hypothesis.null(), 50, seed=0)
+    for scale in (0.0, 2 * pack.radius, -0.1):
+        with pytest.raises(ValueError) as want:
+            homology_estimator(pack, drawn, scale=scale)
+        with pytest.raises(ValueError) as got:
+            homology._estimator_counts(pack, trials, scale)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="^cannot estimate homology from an empty sample$"):
+        homology._estimator_counts(pack, np.zeros((3, 0, 2)), pack.radius)
+    # a point is named by its row in its own trial, as betti0_linkage names it
+    bad = trials.copy()
+    bad[1, 7, 1] = np.nan
+    with pytest.raises(ValueError) as want:
+        betti0_linkage(bad[1], pack.radius)
+    with pytest.raises(ValueError) as got:
+        homology._estimator_counts(pack, bad, pack.radius)
+    assert str(got.value) == str(want.value) == f"point 7 has a non-finite coordinate: {bad[1, 7].tolist()}"
+
+
+def test_coordinates_past_the_float_range_apart_are_no_edge():
+    # The second coordinates differ by more than the largest float: the difference overflows to inf,
+    # whose square lies above any squared scale.  The suite makes the RuntimeWarning an error, so the
+    # distance test must not warn
+    pts = np.array([[0.0, -1e308], [0.0, 1e308]])
+    assert betti0_linkage(pts, 1.0).cluster_count == 2
+    assert betti(rips(pts, 1.0, 1)).betti == (2, 0)
+    # the sweep's window of the largest float reaches past the float range, to every later point
+    top = np.array([[1.7e308], [np.finfo(float).max]])
+    assert betti0_linkage(top, 1e150).cluster_count == 2
+    assert betti(rips(top, 1e150, 1)).betti == (2, 0)
 
 
 def test_scale_edges_frees_the_block_before_the_closing_sort(monkeypatch):
