@@ -397,9 +397,7 @@ def assign_points(pack: SpherePack, points: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"points have {pts.shape[1]} coordinates, pack is in dimension {pack.ambient_dim}"
         )
-    nearest = np.zeros(len(pts), dtype=int)
-    for i, axis in enumerate(_axes(pack)):
-        nearest = nearest * pack.grid_size + np.searchsorted(0.5 * (axis[:-1] + axis[1:]), pts[:, i])
+    nearest = _nearest(pack, pts)
     diffs = pts - pack.centers[nearest]
     surface_gap = np.abs(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) - pack.radius)
     bad = ~(surface_gap <= 0.5 * pack.radius)
@@ -410,6 +408,15 @@ def assign_points(pack: SpherePack, points: np.ndarray) -> np.ndarray:
             f"beyond the radius/2 tolerance {0.5 * pack.radius:.6g}"
         )
     return nearest + 1
+
+
+def _nearest(pack: SpherePack, pts: np.ndarray) -> np.ndarray:
+    """0-based index of the center nearest each row of pts on every axis of the grid, unchecked:
+    assign_points' arithmetic, which the estimator's circle count reads too."""
+    nearest = np.zeros(len(pts), dtype=int)
+    for i, axis in enumerate(_axes(pack)):
+        nearest = nearest * pack.grid_size + np.searchsorted(0.5 * (axis[:-1] + axis[1:]), pts[:, i])
+    return nearest
 
 
 def assign(pack: SpherePack, point) -> int:

@@ -14,9 +14,13 @@ trial with a word numpy would reject is drawn through geometry._draw_kept
 instead.  That map and the word order are numpy internals, pinned by
 golden tests.  Rows of trials are tallied in blocks of at most
 _DRAW_BUFFER choices, and a side refuses more than _MAX_DRAWS choices
-before drawing any.  The estimator draws each trial's points as
-geometry.sample does, into a batch of at most _BATCH_POINTS points, and
-counts each batch's components in one grouped call, one group a trial.
+before drawing any; an estimator sweep draws every row afresh, so it
+counts trials times the summed sizes.  The estimator draws each trial's
+points as geometry.sample does, into a batch of at most _BATCH_POINTS
+points, and counts each batch's components in one call, one group a
+trial: from each circle's cyclic spacings, one sort a batch, on a pack
+of circles, and with the grouped component count on every other pack
+and for any trial the spacing count cannot certify.
 Measured risk here is always over the constructed pack pair of
 hypotheses, not a worst case over anything larger.
 """
@@ -52,7 +56,9 @@ _MAX_SEED = (1 << 64) - 1
 # Most sphere choices one block of count-test draws holds: 2**16 int64s, 0.5 MB.
 _DRAW_BUFFER = 1 << 16
 
-# Most sphere choices a side draws, trials times the largest sample size.
+# Most sphere choices a side draws, one a point: trials times the largest sample size for the count
+# tests, which read every size off one draw, and trials times the summed sizes for the estimator,
+# whose rows draw afresh.
 _MAX_DRAWS = 1 << 32
 
 # Most points one batch of estimator trials holds, 4096: a batch's grouped component count holds
@@ -317,12 +323,13 @@ def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hyp
 
     Each trial is drawn by geometry._sample on its own keyed stream into a
     row of one batch of at most _BATCH_POINTS points, or of one trial when
-    n is larger, and each filled batch takes one grouped component count
-    (homology._estimator_counts), with homology_estimator's checks.  The
-    edge rule reads two points only and no edge joins two trials, so each
-    count is the one homology_estimator gives its trial on the
-    component-count path.  A trial rejects, as lrt.test_from_estimator does,
-    when its count is below the sphere count.
+    n is larger, and each filled batch takes one component count
+    (homology._estimator_counts), with homology_estimator's checks: from
+    cyclic spacings on a pack of circles, else grouped.  The edge rule
+    reads two points only and no edge joins two trials, so each count is
+    the one homology_estimator gives its trial on the component-count
+    path.  A trial rejects, as lrt.test_from_estimator does, when its
+    count is below the sphere count.
     """
     # The pack radius separates spheres while keeping within-sphere links;
     # callers may override anywhere in (0, 2*radius).
@@ -413,12 +420,23 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
     draw per trial, made at the largest size and read at every size, so
     each row equals mc_risk at its size.  The estimator draws every sphere
     choice before any Gaussian, so a longer sample does not extend a
-    shorter one, and it draws each row afresh.  On likelihood-ratio
-    rows miss_prob is read off the null law the exact columns were summed
-    from.  The envelope column uses the config delta, defaulting to 0.5.
+    shorter one, and it draws each row afresh.  A side that would draw
+    more than _MAX_DRAWS sphere choices, trials times the largest size for
+    the count tests and trials times the summed sizes for the estimator,
+    is refused before any draw.  On likelihood-ratio rows miss_prob is
+    read off the null law the exact columns were summed from.  The
+    envelope column uses the config delta, defaulting to 0.5.
     """
     sizes = _increasing_sizes(n_values, "no sample sizes to sweep")
-    _check_draws(config.trials, sizes[-1])
+    if config.test_kind == "estimator":  # each row draws afresh; a range is summed in closed form
+        total = len(sizes) * (sizes[0] + sizes[-1]) // 2 if isinstance(sizes, range) else sum(sizes)
+        if config.trials * total > _MAX_DRAWS:
+            raise ValueError(
+                f"{config.trials} trials at {len(sizes)} sizes summing to {total} draw {config.trials * total} "
+                f"sphere choices a side, above the limit of {_MAX_DRAWS}"
+            )
+    else:
+        _check_draws(config.trials, sizes[-1])
     pack = _build(config)
     m = pack.count
     delta = DEFAULT_DELTA if config.delta is None else config.delta

@@ -23,9 +23,15 @@ yet joined.  The count takes groups of equally many points and counts
 each on its own, since no pair joins two groups: betti0_linkage is the
 count of one group, and the Monte Carlo harness counts a batch of
 estimator trials in one call, on the route that the batch's summed sweep
-candidates choose.  A pair is an edge when its squares, added in axis
+candidates choose.  On a pack of circles the estimator's trials are
+counted from cyclic spacings instead: below the gap between circles no
+edge joins two circles, and on one circle the components are the
+neighbour pairs in angle order that fail the edge rule, or one when none
+does.  That takes one sort a batch, and a trial whose pairs or points
+come too close to a tie for the count to be certified falls back to the
+grouped count.  A pair is an edge when its squares, added in axis
 order, sum to at most the squared scale, so the edge set is the same on
-every numpy build, and both routes count the same components.
+every numpy build, and every route counts the same components.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import geometry
 from .geometry import SampleSet, SpherePack
 
 MAX_COMPLEX_DIM = 3
@@ -69,6 +76,11 @@ _GRID_SPAN = 1 << 20
 # rips): room for every complex the tests and the benchmark build, while a dense one, up to
 # C(2000, 3) = 1.3e9 triangles under the default point budget, fails at once.
 _SIMPLEX_BUDGET = 10**6
+
+# Relative margin, about 1e-9, around the squared scale inside which a neighbour pair's squared
+# distance leaves the estimator's circle count uncertified (see _circle_counts): far above the few
+# units in the last place that the coordinates, the squares and arctan2 carry.
+_CIRCLE_MARGIN = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -657,9 +669,84 @@ def _check_estimate(pack: SpherePack, scale: float, n: int) -> None:
         raise ValueError("cannot estimate homology from an empty sample")
 
 
+def _circle_counts(pack: SpherePack, points: np.ndarray, scale: float) -> np.ndarray:
+    """_components(points, scale) for trials drawn on a pack of circles (d = 1), (trials, n, D) with
+    n >= 1, counted from cyclic spacings; a trial whose count this cannot certify goes to _components.
+
+    Each point is labelled with its circle by assign_points' arithmetic, and one lexsort orders the
+    batch by trial, circle and angle about the circle's center.  Each cyclic neighbour pair of a
+    (trial, circle) group is tested with the one edge rule.  On one circle the components are the
+    runs between the pairs that fail it, so a group whose k pairs fail has max(k, 1) components
+    (Stevens 1939; Fisher 1940), and a trial's count is the sum over its groups.  The count equals
+    _components' for a certified trial (see _spacing_counts), whatever the last bits of arctan2
+    are, and every other trial is counted by _components, so the result never depends on them.  A
+    trial is certified when every point has zeros past axis 1 and lies within a tolerance of its
+    circle, and no neighbour pair's d2 lies within a relative _CIRCLE_MARGIN of s2.  The whole batch
+    goes to _components at scales outside [2**-12 r, (1 - _CIRCLE_MARGIN)(G - 2r)], G the least
+    gap between centers, and when a trial of n points could have more than _MAX_PAIRS candidate
+    pairs, so that _components refuses it as it always has.  The spacing count's arrays, a dozen
+    words a point, are freed before any trial falls back.
+    """
+    n, r = points.shape[1], pack.radius
+    gap = float(np.diff(pack.centers[:, 0]).min(initial=math.inf)) - 2.0 * r
+    if n * (n - 1) // 2 > _MAX_PAIRS or not 2.0**-12 * r <= scale <= (1.0 - _CIRCLE_MARGIN) * gap:
+        return _components(points, scale)
+    counts, unsure = _spacing_counts(pack, points, scale)
+    if unsure.any():
+        counts[unsure] = _components(points[unsure], scale)
+    return counts
+
+
+def _spacing_counts(pack: SpherePack, points: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's count from its cyclic spacings, and which trials that count does not certify (see
+    _circle_counts), at a scale inside the window _circle_counts checks."""
+    trials, n, dims = points.shape
+    r, m = pack.radius, pack.count
+    flat = points.reshape(trials * n, dims)
+    label = geometry._nearest(pack, flat)
+    dx = flat[:, 0] - pack.centers[label, 0]
+    dy = flat[:, 1] - pack.centers[0, 1]
+    group = np.repeat(np.arange(trials) * m, n) + label
+    order = np.lexsort((np.arctan2(dy, dx), group))
+    group = group[order]
+    starts = np.flatnonzero(np.append(True, group[1:] != group[:-1]))
+    after = np.arange(1, trials * n + 1)
+    after[np.append(starts[1:], trials * n) - 1] = starts  # each group's last point is followed by its first
+    x, y = flat[order, 0], flat[order, 1]
+    d2 = x - x[after]  # squares added in axis order, as _near_pairs adds them; the zero axes add nothing
+    d2 *= d2
+    d = y - y[after]
+    d *= d
+    d2 += d
+    s2 = scale * scale
+    counts = np.bincount(group[starts] // m, np.maximum(np.add.reduceat(d2 > s2, starts), 1), trials).astype(int)
+    # Why a certified count is _components': with u = 2**-53 and mu = _CIRCLE_MARGIN,
+    # 1. the residual dx**2 + dy**2 - r**2 carries an error of at most 6 u r**2, so a point that passes
+    #    the check below lies within mu s / 32 + 6 u r <= mu s / 16 of its circle, as s >= 2**-12 r;
+    # 2. the pairs of a run pass the edge rule itself, so each run is connected;
+    # 3. d2 and s2 carry relative errors of at most 4u and u, so a failed pair, d2 > (1 + mu) s2, lies
+    #    more than (1 + 0.45 mu) s apart, and its projections on the circle more than (1 + 0.32 mu) s,
+    #    an angle D with 2 r sin(D / 2) > (1 + 0.32 mu) s;
+    # 4. arctan2 of dx and dy, each off by a relative u, is within eps = 2**-48 rad (8 ulps of pi) of the
+    #    true angle.  For two points of different runs, both arcs between their keys hold a failed pair's,
+    #    so both arcs between their angles exceed D - 4 eps.  As sin is 1-Lipschitz and 4 eps r <= mu s / 16,
+    #    their projections lie more than (1 + 0.26 mu) s apart, they lie more than (1 + 0.13 mu) s apart,
+    #    and their d2 exceeds s2;
+    # 5. points of two circles lie at least G - 2r - mu s / 8 >= (1 + 0.8 mu) s apart, so their d2 exceeds s2.
+    unsure = np.zeros(trials, dtype=bool)
+    unsure[group[np.abs(d2 - s2) <= _CIRCLE_MARGIN * s2] // m] = True
+    off = np.abs(dx * dx + dy * dy - r * r) > _CIRCLE_MARGIN * scale * r / 32.0
+    if dims > 2:
+        off |= (flat[:, 2:] != 0.0).any(axis=1)
+    return counts, unsure | off.reshape(trials, n).any(axis=1)
+
+
 def _estimator_counts(pack: SpherePack, points: np.ndarray, scale: float) -> np.ndarray:
     """beta_0 of each trial's sample in points, (trials, n, D), after homology_estimator's checks: for
-    each trial, the one entry of homology_estimator(pack, its sample, scale, point_budget=0)."""
+    each trial, the one entry of homology_estimator(pack, its sample, scale, point_budget=0).  Trials
+    on a pack of circles are counted from their cyclic spacings (see _circle_counts)."""
     _check_estimate(pack, scale, points.shape[1])
     _check_finite(points)
+    if pack.intrinsic_dim == 1:
+        return _circle_counts(pack, points, scale)
     return _components(points, scale)

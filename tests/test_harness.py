@@ -346,6 +346,28 @@ def test_draw_limit_refuses_before_any_draw(monkeypatch):
             sample_complexity(replace(config, test_kind="occupancy"), 0.5, [101, 202])
 
 
+def test_estimator_sweep_refuses_its_summed_draws_before_any_trial(monkeypatch):
+    # 10 * (10 + 40 + 50) is the limit itself, and 10 * (10 + 40 + 51) passes it while the count tests'
+    # 10 * 51 does not
+    monkeypatch.setattr(harness, "_MAX_DRAWS", 1000)
+    config = TrialConfig(**M4, n=0, trials=10, master_seed=1, test_kind="estimator", scale=1 / 16)
+    assert [row.n for row in sweep_n(config, [10, 40, 50])] == [10, 40, 50]
+    assert [row.n for row in sweep_n(replace(config, test_kind="occupancy"), [10, 40, 51])] == [10, 40, 51]
+
+    def no_trials(*args):
+        raise AssertionError("ran a trial before the draw limit was checked")
+
+    monkeypatch.setattr(harness, "_estimator_rejections", no_trials)
+    with pytest.raises(ValueError, match="^10 trials at 3 sizes summing to 101 draw 1010 sphere choices a side, above"):
+        sweep_n(config, [10, 40, 51])
+    # 2**16 trials times the largest size is 2**32, the limit itself; every row draws afresh, so the
+    # sweep asks 2**16 * (2**16 + 1) * 2**15, about 1.4e14, sphere choices a side
+    monkeypatch.setattr(harness, "_MAX_DRAWS", 1 << 32)
+    message = "^65536 trials at 65536 sizes summing to 2147516416 draw 140739635838976 sphere choices a side, "
+    with pytest.raises(ValueError, match=message + "above the limit of 4294967296$"):
+        sweep_n(replace(config, trials=2**16), range(1, 2**16 + 1))
+
+
 @pytest.mark.parametrize("flagged", ["every", "half"])
 def test_count_path_redraws_flagged_trials_through_the_reference(monkeypatch, flagged):
     # a flagged trial is drawn again through _draw_kept, on a split trial from
@@ -501,6 +523,32 @@ def test_estimator_side_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 8 * (homology._BLOCK_FLOATS + 8 * harness._BATCH_POINTS)
+
+
+def test_estimator_side_memory_is_bounded_when_every_trial_falls_back(monkeypatch):
+    # at a zero margin no point passes the circle check, so every trial of every batch is counted twice,
+    # from its spacings and then by the grouped count, under the same bound as the one count
+    fallbacks = []
+    components = homology._components
+
+    def recorded(pts, scale):
+        fallbacks.append(pts.shape[0])
+        return components(pts, scale)
+
+    monkeypatch.setattr(homology, "_components", recorded)
+    monkeypatch.setattr(homology, "_CIRCLE_MARGIN", 0.0)
+    config = TrialConfig(**M4, n=200, trials=200, master_seed=1, test_kind="estimator")
+    pack = harness._build(config)
+    harness._estimator_rejections(replace(config, trials=2), pack, Hypothesis.null(), harness._NULL_STREAM, 200)
+    fallbacks.clear()
+    tracemalloc.start()
+    try:
+        harness._estimator_rejections(config, pack, Hypothesis.null(), harness._NULL_STREAM, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fallbacks == [20] * 10
     assert peak < 8 * (homology._BLOCK_FLOATS + 8 * harness._BATCH_POINTS)
 
 

@@ -829,6 +829,74 @@ def test_the_estimator_count_keeps_the_estimators_checks():
     assert str(got.value) == str(want.value) == f"point 7 has a non-finite coordinate: {bad[1, 7].tolist()}"
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.sampled_from([2, 3]),
+    radius=st.sampled_from([1 / 16, 1 / 8, 0.1, 1 / 64]),
+    n=st.integers(1, 300),
+    trials=st.integers(1, 4),
+    fraction=st.floats(1e-3, 1.0, exclude_max=True),
+    mixture=st.booleans(),
+    seed=st.integers(0, 2**32),
+    lift=st.sampled_from([0.0, 1e-300, 1e-9, 0.5]),
+)
+def test_circle_counts_equal_the_grouped_count(dims, radius, n, trials, fraction, mixture, seed, lift):
+    pack = build_pack(1, dims, radius)
+    hypothesis = Hypothesis.mixture() if mixture else Hypothesis.null()
+    pts = np.stack([sample(pack, hypothesis, n, seed + t).points for t in range(trials)])
+    if dims == 3 and lift:  # a coordinate past axis 1 takes its trial off the circles
+        pts[-1, n // 2, 2] = lift
+    scale = fraction * 2 * radius
+    assert homology._circle_counts(pack, pts, scale).tolist() == homology._components(pts, scale).tolist()
+
+
+def test_circle_counts_fall_back_where_they_cannot_certify(monkeypatch):
+    fallbacks = []
+    components = homology._components
+
+    def recorded(pts, scale):
+        fallbacks.append(pts.shape)
+        return components(pts, scale)
+
+    monkeypatch.setattr(homology, "_components", recorded)
+    pack = build_pack(1, 3, 1 / 16)
+    r = pack.radius
+    drawn = np.stack([sample(pack, Hypothesis.null(), 2, seed).points for seed in range(3)])
+
+    def counted(pts, scale):
+        fallbacks.clear()
+        got = homology._estimator_counts(pack, pts, scale).tolist()
+        assert got == components(pts, scale).tolist()
+        return got, fallbacks[:]
+
+    assert counted(drawn, r)[1] == []
+    # two points of the first circle at chord exactly the scale, r * sqrt(2): d2 is 2 r**2 on the dot,
+    # and the rounded scale squared lies within a few ulps of it
+    tie = drawn.copy()
+    tie[1] = [[2 * r, r, 0.0], [r, 2 * r, 0.0]]
+    assert np.sum((tie[1, 0] - tie[1, 1]) ** 2) == 2 * r * r
+    assert counted(tie, r * math.sqrt(2))[1] == [(1, 2, 3)]
+    # a scale within the margin of the 2r gap between circles sends the whole batch
+    assert counted(drawn, np.nextafter(2 * r, 0.0))[1] == [(3, 2, 3)]
+    # a point moved off its circle, or lifted past axis 1, sends its trial
+    for axis, step in ((0, 1e-9), (1, -0.3 * r), (2, 1e-12)):
+        off = drawn.copy()
+        off[2, 1, axis] += step
+        assert counted(off, r)[1] == [(1, 2, 3)]
+    # a trial of n points may hold n (n - 1) / 2 candidate pairs, which _components counts and refuses
+    three = np.stack([sample(pack, Hypothesis.null(), 3, seed).points for seed in range(3)])
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 3)
+    assert counted(three, r / 8)[1] == []
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 2)
+    assert counted(three, r / 8)[1] == [(3, 3, 3)]
+    monkeypatch.setattr(homology, "_MAX_PAIRS", 0)
+    with pytest.raises(ValueError, match="candidate pairs, above the limit of 0$") as want:
+        components(tie, r)
+    with pytest.raises(ValueError) as got:
+        homology._estimator_counts(pack, tie, r)
+    assert str(got.value) == str(want.value)
+
+
 def test_coordinates_past_the_float_range_apart_are_no_edge():
     # The second coordinates differ by more than the largest float: the difference overflows to inf,
     # whose square lies above any squared scale.  The suite makes the RuntimeWarning an error, so the
