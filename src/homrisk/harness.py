@@ -13,9 +13,10 @@ per block turns them into the choices Generator.integers would make; a
 trial with a word numpy would reject is drawn through geometry._draw_kept
 instead.  That map and the word order are numpy internals, pinned by
 golden tests.  Rows of trials are tallied in blocks of at most
-_DRAW_BUFFER choices, and a side refuses more than _MAX_DRAWS choices
-before drawing any; an estimator sweep draws every row afresh, so it
-counts trials times the summed sizes.  The estimator draws each trial's
+_DRAW_BUFFER choices, and a side refuses more than _MAX_DRAWS choices,
+and an estimator side more than _MAX_POINTS points, before drawing any;
+an estimator sweep draws every row afresh, so it counts trials times the
+summed sizes.  The estimator draws each trial's
 points as geometry.sample does, into a batch of at most _BATCH_POINTS
 points, and counts each batch's components in one call, one group a
 trial: from each circle's cyclic spacings, one sort a batch, on a pack
@@ -60,6 +61,11 @@ _DRAW_BUFFER = 1 << 16
 # tests, which read every size off one draw, and trials times the summed sizes for the estimator,
 # whose rows draw afresh.
 _MAX_DRAWS = 1 << 32
+
+# Most points an estimator side draws, counted as its sphere choices are: a point costs 1.7 to 2.4 us
+# on a d = 2 pack in 3-space and 0.3 to 0.4 us on a pack of circles (2-core host, after the cyclic
+# spacing count), so a side at the limit runs about a minute at most, where _MAX_DRAWS allowed over an hour.
+_MAX_POINTS = 1 << 25
 
 # Most points one batch of estimator trials holds, 4096: a batch's grouped component count holds
 # arrays of a few words a point beside its one block of at most _BLOCK_FLOATS words, so at 32 times
@@ -184,15 +190,24 @@ def _increasing_sizes(n_values: Sequence[int], empty_message: str) -> Sequence[i
     return sizes
 
 
-def _check_draws(trials: int, n: int, before: int = 0) -> int:
-    """Refuse a side whose sphere choices, before plus trials * n, pass _MAX_DRAWS, before drawing any; return them."""
-    total = before + trials * n
-    if total > _MAX_DRAWS:
-        earlier = f" after {before} on earlier candidates" if before else ""
-        raise ValueError(
-            f"{trials} trials at n = {n} draw {trials * n} sphere choices a side{earlier}, "
-            f"above the limit of {_MAX_DRAWS}"
-        )
+def _check_draws(config: TrialConfig, n: int, before: int = 0, at: str = "") -> int:
+    """Refuse a side whose draws, before plus trials * n, pass a limit, before drawing any; return them.
+
+    A side draws at most _MAX_DRAWS sphere choices, and an estimator side,
+    one point a choice, at most _MAX_POINTS points.  at, when given, names
+    the sizes n sums in the message.
+    """
+    total = before + config.trials * n
+    limits = [(_MAX_DRAWS, "sphere choices", "")]
+    if config.test_kind == "estimator":
+        limits.append((_MAX_POINTS, "points", " for the estimator"))
+    for limit, unit, owner in limits:
+        if total > limit:
+            earlier = f" after {before} on earlier candidates" if before else ""
+            raise ValueError(
+                f"{config.trials} trials at {at or f'n = {n}'} draw {config.trials * n} {unit} a side{earlier}, "
+                f"above the limit of {limit}{owner}"
+            )
     return total
 
 
@@ -402,9 +417,10 @@ def mc_risk(config: TrialConfig) -> RiskEstimate:
     the occupancy law gives them in closed form; its trials reject on the
     empty-count threshold the exact risk sums over.  The count tests tally
     each trial's sphere choices in blocks of at most _DRAW_BUFFER; a side
-    of more than _MAX_DRAWS choices is refused before any draw.
+    of more than _MAX_DRAWS choices, or an estimator side of more than
+    _MAX_POINTS points, is refused before any draw.
     """
-    _check_draws(config.trials, config.n)
+    _check_draws(config, config.n)
     pack = _build(config)
     report = lrt.exact_lrt_risk(pack.count, config.n) if config.test_kind == "lrt" else None
     (estimate,) = _estimates(config, pack, [config.n], [report])
@@ -423,32 +439,30 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
     shorter one, and it draws each row afresh.  A side that would draw
     more than _MAX_DRAWS sphere choices, trials times the largest size for
     the count tests and trials times the summed sizes for the estimator,
-    is refused before any draw.  On likelihood-ratio rows miss_prob is
-    read off the null law the exact columns were summed from.  The
-    envelope column uses the config delta, defaulting to 0.5.
+    or an estimator side of more than _MAX_POINTS points, is refused before
+    any draw.  On likelihood-ratio rows miss_prob is read off the null law
+    the exact columns were summed from; the rows whose two laws both take
+    the throw recurrence read them from one stepper pair, and occupancy
+    rows on that route from one stepper, as n only grows.  The envelope
+    column uses the config delta, defaulting to 0.5.
     """
     sizes = _increasing_sizes(n_values, "no sample sizes to sweep")
     if config.test_kind == "estimator":  # each row draws afresh; a range is summed in closed form
         total = len(sizes) * (sizes[0] + sizes[-1]) // 2 if isinstance(sizes, range) else sum(sizes)
-        if config.trials * total > _MAX_DRAWS:
-            raise ValueError(
-                f"{config.trials} trials at {len(sizes)} sizes summing to {total} draw {config.trials * total} "
-                f"sphere choices a side, above the limit of {_MAX_DRAWS}"
-            )
+        _check_draws(config, total, at=f"{len(sizes)} sizes summing to {total}")
     else:
-        _check_draws(config.trials, sizes[-1])
+        _check_draws(config, sizes[-1])
     pack = _build(config)
     m = pack.count
     delta = DEFAULT_DELTA if config.delta is None else config.delta
     reports, misses = [], []
-    for n in sizes:
-        if config.test_kind == "lrt":
-            report, null_law = lrt._risk_and_null_law(m, n)
+    if config.test_kind == "lrt":
+        for report, null_law in lrt._risks_and_null_laws(m, sizes):
             reports.append(report)
             misses.append(1.0 - float(null_law[0]))
-        else:
-            reports.append(None)
-            misses.append(1.0 - occupancy.prob_all_occupied(m, n))
+    else:
+        reports = [None] * len(sizes)
+        misses = [1.0 - p for p in occupancy._all_occupied_probs(m, sizes)]
     estimates = _estimates(config, pack, sizes, reports)
     return tuple(
         SweepRow(
@@ -480,7 +494,8 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
     scan the Monte Carlo estimate plus two standard errors, a one-sided
     upper confidence bound, so a noisy dip cannot satisfy the target, and
     refuse the candidate that would take a side's sphere choices, summed
-    over the candidates so far, past _MAX_DRAWS before drawing it.  The
+    over the candidates so far, past _MAX_DRAWS, or an estimator side's
+    points past _MAX_POINTS, before drawing it.  The
     likelihood-ratio test answers exactly: see lrt._first_passing_size.
     """
     if not 0.0 < epsilon <= 1.0:
@@ -494,7 +509,7 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
     else:
         drawn = 0
         for n in sizes:
-            drawn = _check_draws(config.trials, n, drawn)
+            drawn = _check_draws(config, n, drawn)
             (est,) = _estimates(config, pack, [n], [None])
             if est.risk_hat + 2.0 * est.stderr <= epsilon:
                 return n

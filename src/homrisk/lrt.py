@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .geometry import SampleSet, SpherePack, sphere_surface_measure
 from .homology import BettiProfile
-from .occupancy import _recurrence, empty_count_distribution, summarize
+from . import occupancy
+from .occupancy import OccupancyDistribution, _recurrence, empty_count_distribution, summarize
 
 # The scan confirms a candidate whose float risk is at most epsilon * (1 + _SCREEN_MARGIN),
 # or epsilon + _SCREEN_FLOOR where larger: near float underflow relative error means nothing.
@@ -153,45 +154,78 @@ def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
 
 def _risk_and_null_law(m: int, n: int) -> tuple[ExactRiskReport, np.ndarray]:
     """exact_lrt_risk(m, n) with the m-bin empty-count law its type I is summed from."""
+    return next(_risks_and_null_laws(m, (n,)))
+
+
+def _takes_pair(m: int, n: int) -> bool:
+    """True when the router sends both laws of the risk at (m, n) to the throw recurrence.
+
+    There m(1-1/m)^n > 1 (_series_is_tame fails), so floor(t) >= 1 (checked
+    at the last such n of every m up to 2 * 10**5) and the (m-1)-bin law is
+    always read.
+    """
+    return n >= 1 and occupancy._route(m, n) == occupancy._route(m - 1, n) == "recurrence"
+
+
+def _risks_and_null_laws(m: int, sizes: Iterable[int]) -> Iterator[tuple[ExactRiskReport, np.ndarray]]:
+    """_risk_and_null_law(m, n) for each n of the increasing sizes.
+
+    Every n whose two laws both take the throw recurrence reads them from
+    one stepper pair that never steps back, bit for bit the router's laws,
+    with the router's mass check on each; every other n calls the router.
+    """
     if m < 2:
         raise ValueError("the deletion mixture needs at least two spheres")
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
-    k_threshold = _k_threshold(m, n)
-    null = empty_count_distribution(m, n).probs
-    type_i, type_ii = _tails(k_threshold, null, lambda: empty_count_distribution(m - 1, n).probs)
-    report = ExactRiskReport(
-        m=m,
-        n=n,
-        k_threshold=k_threshold,
-        type_I=type_i,
-        type_II=type_ii,
-        total=type_i + type_ii,
-    )
-    return report, null
+    pair = None
+    for n in sizes:
+        if n < 0:
+            raise ValueError("sample size must be >= 0")
+        k_threshold = _k_threshold(m, n)
+        if _takes_pair(m, n):
+            pair = pair or _recurrence(m, pair=True)
+            laws = pair(n, deleted=True)
+            null, deleted = (OccupancyDistribution(m - r, n, probs).probs for r, probs in enumerate(laws))
+            type_i, type_ii = _tails(k_threshold, null, lambda: deleted)
+        else:
+            null = empty_count_distribution(m, n).probs
+            type_i, type_ii = _tails(k_threshold, null, lambda: empty_count_distribution(m - 1, n).probs)
+        report = ExactRiskReport(
+            m=m,
+            n=n,
+            k_threshold=k_threshold,
+            type_I=type_i,
+            type_II=type_ii,
+            total=type_i + type_ii,
+        )
+        yield report, null
 
 
 def _first_passing_size(m: int, epsilon: float, sizes: Iterable[int]) -> int | None:
     """First n in sizes with exact_lrt_risk(m, n).total <= epsilon, or None.
 
-    The m-bin law of the router's throw recurrence steps through n, and the
-    (m-1)-bin one only as far as _tails reads it, both under the router's
-    work limit; the float risk of each candidate, _tails of the two laws,
-    screens out every n above the _SCREEN_MARGIN limit.  Float and exact
-    risks agree to 3.4e-12 for m up to 2000 on all routes, bit for bit where
-    both laws take the recurrence, so no passing n is dropped and
-    exact_lrt_risk decides the rest: O(m * n_epsilon) flops, as a rule one
-    exact call.
+    One throw-recurrence stepper pair carries the m- and (m-1)-bin laws
+    through n, under the router's work limit; the first candidate with
+    floor(t) = 0 drops the (m-1)-bin row for good, as _tails no longer reads
+    it and t only falls as n grows.  The float risk of each candidate,
+    _tails of the two laws, screens out every n above the _SCREEN_MARGIN
+    limit.  Float and exact risks agree to 3.4e-12 for m up to 2000 on all
+    routes, bit for bit where both laws take the recurrence, so no passing n
+    is dropped and exact_lrt_risk decides the rest: O(m * n_epsilon) flops,
+    as a rule one exact call.
     """
     if m < 2:
         raise ValueError("the deletion mixture needs at least two spheres")
     limit = epsilon + max(_SCREEN_MARGIN * epsilon, _SCREEN_FLOOR)
-    null_law, deleted_law = _recurrence(m), _recurrence(m - 1)
+    laws = _recurrence(m, pair=True)
     for n in sizes:
         if n < 0:
             raise ValueError("sample size must be >= 0")
-        # floor(t) only falls as n grows, so once it is 0 the (m-1)-bin law stops stepping
-        type_i, type_ii = _tails(_k_threshold(m, n), null_law(n), lambda: deleted_law(n))
+        k_threshold = _k_threshold(m, n)
+        if math.floor(k_threshold):
+            null, deleted = laws(n, deleted=True)
+        else:
+            null, deleted = laws(n), None
+        type_i, type_ii = _tails(k_threshold, null, lambda: deleted)
         if type_i + type_ii <= limit and exact_lrt_risk(m, n).total <= epsilon:
             return n
     return None

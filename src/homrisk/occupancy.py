@@ -31,19 +31,24 @@ Stirling numbers of the second kind S(n, j) are (Harper 1967), so the
 entries below the smallest normal float lie only at the band's two ends.
 Flushing them to 0 spares each step the subnormal arithmetic (slow on
 x86) that was most of its cost: at (2000, 10000) the full state holds
-1000 non-zero entries, 719 of them subnormal, and the band 281.  A step
-costs a few us plus about 1 ns a band entry, 0.05 s for that law.  That
-recurrence has one home, _recurrence(m): its law(n) makes the work check,
-steps forward to n and returns the law by empty count.  The router asks
-it for one n; the sample-complexity scan beside exact_lrt_risk asks the
-m- and (m-1)-bin laws for every candidate n in turn.
+1000 non-zero entries, 719 of them subnormal, and the band 281.  That
+recurrence has one home, _recurrence(m, pair): its law(n) makes the work
+check, steps forward to n and returns the law by empty count.  A pair
+carries the m- and (m-1)-bin laws that the ratio test's two tails read in
+one interleaved array, so one step's ufunc calls and bookkeeping, most of
+a step's cost, serve both: at (2000, 10000) the m-bin law alone takes
+19 ms and the pair 28 ms, against 44 ms for the two laws stepped apart
+before the pair (pinned to one core of a 2-core host).  The router asks a
+one-row stepper for one n; exact_lrt_risk asks one pair for both laws
+when the router would send both to this route; the sample-complexity scan
+beside it and sweep_n keep one stepper across their increasing sizes.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,10 +61,11 @@ from .geometry import SampleSet, SpherePack, assign_points
 _EXACT_BINS = 512
 _EXACT_WORK = 2_000_000
 
-# Most m*n bin updates the throw recurrence runs.  A banded step costs about 2 to 3 us
-# plus about 1 ns a band entry, so laws at the limit took 0.1 to 1.9 s on a 2-core
-# machine, 0.1 to 1.7 ns per update: (131072, 8192) 0.11 s, (10**5, 10**4) 0.14 s,
-# (10000, 64472) 0.67 s, (4096, 2**18) 0.79 s, (16384, 2**16) 1.1 s, (1024, 2**20) 1.9 s.
+# Most m*n bin updates the throw recurrence runs for one law; a pair checks its m-bin law's m*n and
+# steps both laws.  A step costs about 2 us plus about 1 ns a band entry, about 3 us for a pair, so at
+# the limit one law took 0.02 to 1.7 s and a pair 0.04 to 1.5 s, pinned to one core of a 2-core
+# machine: (131072, 8192) 0.02 / 0.04 s, (10**5, 10**4) 0.04 / 0.05 s, (10000, 64472) 0.18 / 0.30 s,
+# (4096, 2**18) 0.34 / 0.49 s, (16384, 2**16) 0.26 / 0.46 s, (1024, 2**20) 1.7 / 1.5 s.
 _RECURRENCE_WORK = 1 << 30
 
 # Most bins the log route serves.  Its cost is the O(m) set-up, mostly the lgamma loop
@@ -80,6 +86,10 @@ _SERIES_TERMS = next(j for j in range(1000) if math.lgamma(j + 1.0) > -_LOG_UNDE
 
 # Smallest normal float (np.finfo(float).tiny); the throw recurrence flushes band ends below it.
 _TINY = sys.float_info.min
+
+# Counts of zeros the throw recurrence's window keeps below its bands, and lets pile up above them,
+# before it is sliced again: the extra entries cost about 1 ns each a step, a new slice about 1 us.
+_WINDOW_SLACK = 32
 
 
 def _series_is_tame(m: int, n: int) -> bool:
@@ -199,7 +209,7 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
     return math.exp(min(peak + math.log(s), 0.0))
 
 
-def _recurrence(m: int) -> Callable[[int], np.ndarray]:
+def _recurrence(m: int, pair: bool = False) -> Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """law(n): P(K = k), index k = 0..m, after n throws into m bins, for n that never falls.
 
     One forward Markov step per throw on the empty-bin count k: a ball lands
@@ -208,78 +218,115 @@ def _recurrence(m: int) -> Callable[[int], np.ndarray]:
     coefficient is positive, so this route is immune to the cancellation
     that limits the series routes.  Each call refuses m*n above
     _RECURRENCE_WORK, then steps only as far as its n, so a law never asked
-    for past some n is never stepped past it.
+    for past some n is never stepped past it; the arrays are built by the
+    first call that passes, so a refusal allocates nothing.
 
-    The law lives in one array by empty count, stepped in place and 0
-    outside the band of counts lo..hi-1.  Only the band is stepped, with the
-    float operations of a full step on each entry, so an entry whose
-    neighbours are unchanged rounds as it would there.  While lo > 0 the
-    band gains count lo - 1 on each step.  After each step every entry at
-    either end below _TINY, the smallest normal float, is flushed to 0 and
-    that end moves inward, by a walk from each end that stops at its first
-    normal entry, so a flush costs the entries it removes rather than a scan
-    of the band (at (2000, 10000) it runs on 2454 of the 10000 steps and
-    removes one or two); once lo = 0 only the top end is checked, as
-    P(K = 0) only rises with n.  A step is a Markov kernel, so it never
-    enlarges an L1 error, and each flush removes less than _TINY: a count
-    leaves from the top once and from the bottom at most once a step, so in
-    exact arithmetic every law lies within (2m + n) * _TINY of the full-state
-    one in L1.  In floats a flush can also flip the last bit of a neighbour,
-    and the flip travels on: at (2000, 5833) an entry of 7.1e-288 moves by
-    one ulp, 1.5e-303, and the L1 distance passes that bound.  No entry of
-    1e-280 or more has moved at any size checked (every n up to m ln m + 3m
-    for m up to 2000, n up to 20000 at m = 5000).  Each call returns a copy,
-    so callers may keep it.
+    With pair, the same stepper also carries the (m-1)-bin law, which is
+    the empty count less one under a deletion, and law(n, deleted=True)
+    returns (m-bin law, (m-1)-bin law).  The two rows share one array,
+    entry k of the (m-r)-bin law at 2k + r, so a throw is still three
+    ufunc calls on one window for both laws, and each row's entries take
+    exactly the float operations they take alone.  A call without deleted
+    drops the (m-1)-bin row for good, and the stepper goes on as a
+    one-row one: a scan asks for that row only while floor(t) > 0, and t
+    only falls as n grows.
+
+    Each row is 0 outside its band of counts lo..hi-1, and the window each
+    throw steps covers every band, with count lo - 1 below each band while
+    lo > 0.  The entries the window holds beyond a band are 0 and stay 0
+    (a 0 above a band adds exactly 0.0 to its top entry), so an entry rounds
+    as in a full step.  The window is re-sliced only when a band grows
+    below it or the highest band top falls more than _WINDOW_SLACK counts
+    below the window's.
+    While lo > 0 a band gains count lo - 1 on each step.  After each step
+    every entry at either end below _TINY, the smallest normal float, is
+    flushed to 0 and that end moves inward, by a walk from each end that
+    stops at its first normal entry, so a flush costs the entries it
+    removes rather than a scan of the band (at (2000, 10000) it runs on
+    2454 of the 10000 steps and removes one or two); once lo = 0 only the
+    top end is checked, as P(K = 0) only rises with n.  The band ends are
+    read through a memoryview, as Python floats.  A step is a Markov
+    kernel, so it never enlarges an L1 error, and each flush removes less
+    than _TINY: a count leaves from the top once and from the bottom at
+    most once a step, so in exact arithmetic every law lies within
+    (2m + n) * _TINY of the full-state one in L1.  In floats a flush can
+    also flip the last bit of a neighbour, and the flip travels on: at
+    (2000, 5833) an entry of 7.1e-288 moves by one ulp, 1.5e-303, and the
+    L1 distance passes that bound.  No entry of 1e-280 or more has moved at
+    any size checked (every n up to m ln m + 3m for m up to 2000, n up to
+    20000 at m = 5000).  Each call returns copies, so callers may keep them.
     """
-    k = np.arange(m + 1, dtype=float)
-    stay = (m - k) / m
-    fill = (k + 1.0) / m  # from count k + 1 down to k
-    state = np.zeros(m + 1)
-    state[m] = 1.0
-    lo, hi, stepped = m, m + 1, 0
+    rows = 2 if pair else 1
+    ends = [[rows * (m - r) + r] * 2 for r in range(rows)]  # index of each band's lowest and highest entry
+    stepped = start = stop = 0
+    state = stay = fill = values = parts = None  # built by the first call that passes the work check
 
-    def views() -> tuple[np.ndarray, ...]:
-        # what the next step writes: the band, and below it count lo - 1 while lo > 0
-        start = max(lo - 1, 0)
-        band = state[start:hi]
-        return band, band[1:], band[:-1], stay[start:hi], fill[start : hi - 1]
+    def views() -> tuple[int, int, tuple[np.ndarray, ...]]:
+        # the window the next step writes: each band, count lo - 1 below it while lo > 0, slack below
+        low = min(bottom - rows if bottom >= rows else bottom for bottom, _ in ends)
+        start, stop = max(low - rows * _WINDOW_SLACK, 0), max(top for _, top in ends) + 1
+        window = state[start:stop]
+        return start, stop, (window, window[rows:], window[:-rows], stay[start:stop], fill[start : stop - rows])
 
-    parts = views()
-
-    def law(n: int) -> np.ndarray:
-        nonlocal lo, hi, stepped, parts
+    def law(n: int, deleted: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        nonlocal state, stay, fill, rows, ends, stepped, start, stop, parts, values
         if m * n > _RECURRENCE_WORK:
             raise ValueError(
                 f"throw recurrence for m={m}, n={n} needs {m * n} bin updates, above the limit of {_RECURRENCE_WORK}"
             )
+        if deleted and rows == 1:
+            raise ValueError(f"the throw recurrence for m={m} carries no (m-1)-bin law")
+        if rows == 2 and not deleted:  # drop the (m-1)-bin row: row 0 alone, one entry a count
+            rows, ends = 1, [[index // 2 for index in ends[0]]]
+            if state is not None:
+                state, stay, fill = state[::2].copy(), stay[::2].copy(), fill[::2].copy()
+                values = memoryview(state)
+                start, stop, parts = views()
+        if state is None:
+            # entry k of the (m - r)-bin row at rows * k + r; a row starts with all its bins empty
+            state, stay, fill = np.zeros(rows * m + 1), np.empty(rows * m + 1), np.empty(rows * m + 1)
+            for r in range(rows):
+                k = np.arange(m - r + 1, dtype=float)
+                stay[r::rows] = (m - r - k) / (m - r)
+                fill[r::rows] = (k + 1.0) / (m - r)  # from count k + 1 down to k
+                state[rows * (m - r) + r] = 1.0
+            values = memoryview(state)
+            start, stop, parts = views()
         while stepped < n:
-            band, upper, lower, stay_b, fill_b = parts
-            filled = upper * fill_b
-            band *= stay_b
+            window, upper, lower, stay_w, fill_w = parts
+            filled = upper * fill_w
+            window *= stay_w
             lower += filled
             stepped += 1
-            grow = lo > 0
-            if band[-1] < _TINY or (grow and band[0] < _TINY):
-                # walk each end inward, flushing, to its first normal entry
-                first, last = 0, len(band) - 1
-                while band[first] < _TINY:
-                    band[first] = 0.0
-                    first += 1
-                while band[last] < _TINY:
-                    band[last] = 0.0
-                    last -= 1
-                start = max(lo - 1, 0)
-                if (lo, hi) == (start + first, start + last + 1):
-                    continue  # only the new count lo - 1 was flushed
-                lo, hi = start + first, start + last + 1
-            elif grow:
-                lo -= 1
-            else:
-                continue  # same band, same views
-            parts = views()
+            reslice = shrunk = False
+            for end in ends:
+                bottom, top = end
+                if bottom >= rows:  # lo > 0: the step wrote count lo - 1; walk up to its first normal entry
+                    bottom -= rows
+                    while values[bottom] < _TINY:
+                        values[bottom] = 0.0
+                        bottom += rows
+                    end[0] = bottom
+                    reslice = reslice or rows <= bottom < start + rows
+                while values[top] < _TINY:
+                    values[top] = 0.0
+                    top -= rows
+                    shrunk = True
+                end[1] = top
+            if reslice or shrunk and max(top for _, top in ends) + rows * _WINDOW_SLACK < stop:
+                start, stop, parts = views()
+        if rows == 2:
+            return state[::2].copy(), state[1::2].copy()
         return state.copy()
 
     return law
+
+
+def _route(m: int, n: int) -> str:
+    """The route _empty_probs takes at (m, n), n >= 1: "exact", "log" or "recurrence"."""
+    if m <= _EXACT_BINS and m * n <= _EXACT_WORK:
+        return "exact"
+    return "log" if _series_is_tame(m, n) else "recurrence"
 
 
 def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
@@ -305,7 +352,8 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
     ks = range(max(0, m - n), min(k_stop, m))
     if not ks:
         return probs
-    if m <= _EXACT_BINS and m * n <= _EXACT_WORK:
+    route = _route(m, n)
+    if route == "exact":
         row = [i**n for i in range(m + 1)]
         if k_stop == 1:  # P(K = 0) alone: one alternating sum, no table
             onto = {m: sum((-1) ** j * math.comb(m, j) * row[m - j] for j in range(m + 1))}
@@ -321,7 +369,7 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
             total += numer
             probs[k] = numer / denom
         assert k_stop < m or total == denom
-    elif _series_is_tame(m, n):
+    elif route == "log":
         if m > _LOG_BINS:
             raise ValueError(f"log route for m={m}, n={n} is above the limit of {_LOG_BINS} bins")
         lf = _log_factorials(m)
@@ -348,6 +396,22 @@ def prob_all_occupied(m: int, n: int) -> float:
     recurrence, by size and conditioning.
     """
     return float(_empty_probs(m, n, 1)[0])
+
+
+def _all_occupied_probs(m: int, sizes: Iterable[int]) -> Iterator[float]:
+    """prob_all_occupied(m, n) for each n of the increasing sizes, one throw-recurrence stepper for them all.
+
+    Every n the router sends to the recurrence (n >= m, as P(K = 0) is 0
+    below m) is read off one stepper that never steps back, with the same
+    bits as a fresh one; every other n calls prob_all_occupied.
+    """
+    law = None
+    for n in sizes:
+        if n >= m >= 1 and _route(m, n) == "recurrence":
+            law = law or _recurrence(m)
+            yield float(law(n)[0])
+        else:
+            yield prob_all_occupied(m, n)
 
 
 def empty_count_distribution(m: int, n: int) -> OccupancyDistribution:

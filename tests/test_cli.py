@@ -279,6 +279,26 @@ def test_monte_carlo_beyond_draw_limit_fails_fast(argv, tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "risk-mc --d 1 --D 2 --tau 0.0625 --n 200 --trials 200 --seed 2013 --test estimator",
+        "sweep --d 1 --D 2 --tau 0.0625 --n-min 50 --n-max 200 --n-step 50 --trials 20 "
+        "--seed 5 --test estimator --delta 0.5 --out sweep.csv",
+    ],
+)
+def test_estimator_beyond_point_limit_fails_fast(argv, tmp_path, monkeypatch, capsys):
+    # 200 trials of 200 points, and 20 trials at sizes summing to 500, pass 5000 points a side
+    monkeypatch.setattr(harness, "_MAX_POINTS", 5000)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "above the limit of 5000 for the estimator" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
     "module, name, limit, argv",
     [
         # 400 estimator points in the plane hold 400 * (2 + 2) floats

@@ -368,6 +368,33 @@ def test_estimator_sweep_refuses_its_summed_draws_before_any_trial(monkeypatch):
         sweep_n(replace(config, trials=2**16), range(1, 2**16 + 1))
 
 
+def test_estimator_point_limit_refuses_before_any_draw(monkeypatch):
+    # the estimator's own limit, far below _MAX_DRAWS, which the count tests keep at these sizes
+    assert harness._MAX_POINTS == 1 << 25 and harness._MAX_POINTS < harness._MAX_DRAWS
+    monkeypatch.setattr(harness, "_MAX_POINTS", 1000)
+    config = TrialConfig(**M4, n=101, trials=10, master_seed=1, test_kind="estimator", scale=1 / 16)
+    counted = replace(config, test_kind="occupancy")
+    assert mc_risk(counted).trials == 10 and len(sweep_n(counted, [10, 101])) == 2
+    drawn = []
+
+    def recorded(config, pack, hypothesis, stream, n):
+        drawn.append(n)
+        return 0  # no null rejection, every mixture trial accepted: risk 1 at every candidate
+
+    monkeypatch.setattr(harness, "_estimator_rejections", recorded)
+    limit = "above the limit of 1000 for the estimator$"
+    with pytest.raises(ValueError, match="^10 trials at n = 101 draw 1010 points a side, " + limit):
+        mc_risk(config)
+    with pytest.raises(ValueError, match="^10 trials at 2 sizes summing to 111 draw 1110 points a side, " + limit):
+        sweep_n(config, [10, 101])
+    assert drawn == []
+    # 10 * 50 points pass; 10 * 60 more would take a side to 1100
+    message = "^10 trials at n = 60 draw 600 points a side after 500 on earlier candidates, " + limit
+    with pytest.raises(ValueError, match=message):
+        sample_complexity(config, 0.5, [50, 60])
+    assert drawn == [50, 50]
+
+
 @pytest.mark.parametrize("flagged", ["every", "half"])
 def test_count_path_redraws_flagged_trials_through_the_reference(monkeypatch, flagged):
     # a flagged trial is drawn again through _draw_kept, on a split trial from
@@ -853,21 +880,54 @@ def test_stepped_scan_matches_exact_scan_across_routes(m, epsilon, answer):
 
 def test_scan_steps_the_deletion_law_only_while_floor_t_is_positive(monkeypatch):
     # floor(64 (63/64)^n) is 0 from n = 265 on, so _tails reads the 63-bin law at n <= 264 only
+    # the scan steps one pair, which carries the 63-bin row only as far as a call asks for it
     reached = {}
     real = harness.lrt._recurrence
 
-    def recorded(m):
-        law = real(m)
+    def recorded(m, pair=False):
+        law = real(m, pair=pair)
 
-        def asked(n):
-            reached[m] = max(reached.get(m, -1), n)
-            return law(n)
+        def asked(n, deleted=False):
+            for bins in (m, m - 1) if deleted else (m,):
+                reached[bins] = max(reached.get(bins, -1), n)
+            return law(n, deleted=deleted)
 
         return asked
 
     monkeypatch.setattr(harness.lrt, "_recurrence", recorded)
     assert harness.lrt._first_passing_size(64, 0.25, range(10**9)) == 345
     assert reached == {64: 345, 63: 264}
+
+
+def test_sweep_reads_recurrence_rows_from_one_stepper(monkeypatch):
+    # m = 2000, n = 4000..16000: both laws take the throw recurrence up to 15000, the m-bin law
+    # the log series from 15500 on (the threshold lies near 15190); every row equals the
+    # per-row risk and the router's own tails byte for byte
+    m, sizes = 2000, range(4000, 16001, 500)
+    lrt = harness.lrt
+    assert [lrt._takes_pair(m, n) for n in sizes] == [n <= 15000 for n in sizes]
+    expected, misses = [], []
+    for n in sizes:
+        report, null = lrt._risk_and_null_law(m, n)
+        router = occupancy.empty_count_distribution(m, n).probs
+        tails = lrt._tails(report.k_threshold, router, lambda: occupancy.empty_count_distribution(m - 1, n).probs)
+        assert (report.type_I, report.type_II) == tails and null.tobytes() == router.tobytes(), n
+        expected.append((report.type_I.hex(), report.type_II.hex(), (1.0 - float(null[0])).hex()))
+        misses.append((1.0 - prob_all_occupied(m, n)).hex())
+    pairs, rows = [], []
+    real_pair, real_row = lrt._recurrence, occupancy._recurrence
+    monkeypatch.setattr(lrt, "_recurrence", lambda m, pair=False: pairs.append((m, pair)) or real_pair(m, pair))
+    monkeypatch.setattr(occupancy, "_recurrence", lambda m, pair=False: rows.append((m, pair)) or real_row(m, pair))
+    config = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=1 / (4 * m), n=0, trials=1, master_seed=3)
+    swept = sweep_n(config, sizes)
+    assert [(row.m, row.n) for row in swept] == [(m, n) for n in sizes]
+    assert [(row.exact_type1.hex(), row.exact_type2.hex(), row.miss_prob.hex()) for row in swept] == expected
+    assert pairs == [(m, True)] and rows == []
+    # occupancy rows read P(K = 0) off one one-row stepper wherever the router takes the recurrence
+    pairs.clear()
+    swept = sweep_n(replace(config, test_kind="occupancy"), sizes)
+    assert [row.miss_prob.hex() for row in swept] == misses
+    assert pairs == [] and rows == [(m, False)]
 
 
 def test_sample_complexity_upper_confidence_path():

@@ -191,6 +191,27 @@ def test_scan_screen_is_the_exact_risk_on_the_recurrence(m, n):
     assert screen == (report.type_I, report.type_II)
 
 
+def test_mixed_route_corners_keep_their_bits_and_take_no_pair(monkeypatch):
+    # at (513, 3000) the 512-bin law takes the exact route, at (2000, 15195) the
+    # 1999-bin law the log series, so each corner calls the router for both laws;
+    # (2000, 10000) sends both to the throw recurrence, as one stepper pair
+    pairs, rows = [], []
+    real_pair, real_row = homrisk.lrt._recurrence, occupancy._recurrence
+    monkeypatch.setattr(homrisk.lrt, "_recurrence", lambda m, pair=False: pairs.append((m, pair)) or real_pair(m, pair))
+    monkeypatch.setattr(occupancy, "_recurrence", lambda m, pair=False: rows.append((m, pair)) or real_row(m, pair))
+    # float hex of k_threshold, type I, type II and total, as the router alone printed them
+    for (m, n), recorded in (
+        ((513, 3000), ("0x1.78d45bb9de10ep+0", "0x1.bcbf22d49a929p-2", "0x1.d86c766ab0a07p-3", "0x1.547aaf04f9716p-1")),
+        ((2000, 15195), ("0x1.006289e4c14d0p+0", "0x1.0f262784865e7p-2", "0x1.78f431a802951p-2", "0x1.440d2c964479cp-1")),
+    ):
+        report = exact_lrt_risk(m, n)
+        assert (report.k_threshold.hex(), report.type_I.hex(), report.type_II.hex(), report.total.hex()) == recorded
+    assert pairs == [] and rows == [(513, False), (2000, False)]
+    rows.clear()
+    exact_lrt_risk(2000, 10000)
+    assert pairs == [(2000, True)] and rows == []
+
+
 def test_exact_risk_skips_the_deletion_law_below_one(monkeypatch):
     built = []
 

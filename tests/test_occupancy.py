@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,86 @@ def test_recurrence_steps_a_narrow_band():
     kept = probs.copy()
     assert law(10000) is not probs and law(10001).shape == (2001,)
     assert probs.tobytes() == kept.tobytes()
+
+
+def _assert_pair_rows(m, n, rows, alone, full):
+    # each row of the pair is the one-row stepper's law byte for byte, and the
+    # full-state law's wherever that reaches 1e-280
+    assert len(rows) == len(alone) == len(full)
+    for bins, got, single, reference in zip((m, m - 1), rows, alone, full):
+        expected, ref = single(n), reference(n)
+        assert got.shape == (bins + 1,), (m, n)
+        assert got.tobytes() == expected.tobytes(), (m, n, bins)
+        big = ref >= 1e-280
+        assert got[big].tobytes() == ref[big].tobytes(), (m, n, bins)
+        assert np.all(got[~big] < 1e-280), (m, n, bins)
+
+
+def _one_row_and_full(m):
+    return (occupancy._recurrence(m), occupancy._recurrence(m - 1)), (
+        oracles.full_throw_recurrence(m), oracles.full_throw_recurrence(m - 1))
+
+
+def _pair_walk(m, sizes, alone, full):
+    # one pair asked for both rows while floor(t) > 0 and then, from the first
+    # n with floor(t) = 0 on, for the m-bin row alone, which drops the other
+    law = occupancy._recurrence(m, pair=True)
+    dropped = False
+    for n in sizes:
+        if math.floor(lrt._k_threshold(m, n)) and not dropped:
+            _assert_pair_rows(m, n, law(n, deleted=True), alone, full)
+        else:
+            dropped = True
+            _assert_pair_rows(m, n, (law(n),), alone[:1], full[:1])
+    return law, dropped
+
+
+def test_recurrence_pair_matches_one_row_and_full_steppers_at_every_size_for_small_bins():
+    for m in (2, 3, 7):
+        sizes = range(int(3 * m * math.log(m)) + 1)
+        law = occupancy._recurrence(m, pair=True)
+        alone, full = _one_row_and_full(m)
+        for n in sizes:
+            _assert_pair_rows(m, n, law(n, deleted=True), alone, full)
+        law, dropped = _pair_walk(m, sizes, *_one_row_and_full(m))
+        assert dropped, m
+        with pytest.raises(ValueError, match=f"^the throw recurrence for m={m} carries no \\(m-1\\)-bin law$"):
+            law(sizes[-1], deleted=True)
+
+
+def test_recurrence_pair_matches_one_row_and_full_steppers_at_large_sizes():
+    # floor(t) is 0 from n = 15199 on at m = 2000, so the walk's last size drops the 1999-bin row
+    law, dropped = _pair_walk(2000, [5833, 5834, 10000, 15198, 15199], *_one_row_and_full(2000))
+    assert dropped
+    assert law(16000).tobytes() == occupancy._recurrence(2000)(16000).tobytes()
+    _assert_pair_rows(5000, 20000, occupancy._recurrence(5000, pair=True)(20000, deleted=True), *_one_row_and_full(5000))
+
+
+def test_recurrence_pair_refuses_past_the_work_limit(monkeypatch):
+    law = occupancy._recurrence(64, pair=True)
+    # the limit is read at call time, after the stepper was made
+    monkeypatch.setattr(occupancy, "_RECURRENCE_WORK", 64 * 300)
+    law(300, deleted=True)
+    message = f"^throw recurrence for m=64, n=301 needs {64 * 301} bin updates, above the limit of {64 * 300}$"
+    with pytest.raises(ValueError, match=message):
+        law(301, deleted=True)
+    with pytest.raises(ValueError, match=message):
+        law(301)
+    # exact_lrt_risk takes the pair at (2000, 10000) and refuses as the m-bin law did alone
+    monkeypatch.setattr(occupancy, "_RECURRENCE_WORK", 2000 * 9999)
+    with pytest.raises(ValueError, match=f"m=2000, n=10000 needs 20000000 bin updates, above the limit of {2000 * 9999}$"):
+        exact_lrt_risk(2000, 10000)
+    # a stepper builds its arrays only after its first call passes the check, so a refusal at
+    # m = 10**6 allocates none of the pair's three arrays of 2 * 10**6 + 1 floats
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the limit of 1073741824"):
+            exact_lrt_risk(10**6, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_distribution_shape_and_support():
