@@ -7,11 +7,18 @@ caller's seed, so draws are reproducible and independent of execution
 layout.  Batch callers re-key one generator per stream and hash their
 stream seeds in vectorised blocks: a seed has three parts, the master,
 the trial index and the stream code, in at most four 32-bit words, so a
-stream runs at most 2**32 trials.
+stream runs at most 2**32 trials.  A batch of samples is drawn in one
+pass (_sample_batch): each trial reads its bounded draws as raw Philox
+words and draws its Gaussians, and the raw-word map the count tests share
+(_lemire), the labels and the placement run once a batch; sample is a
+batch of one.  The word order, the map and the Gaussians that follow raw
+words are numpy internals, pinned by golden tests, and a trial the map
+cannot give is drawn through the reference, _sample_reference.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # are 1 GiB, 16 times the largest pack the tests build (128**3 spheres in 4
 # dimensions).
 _MAX_PACK_FLOATS = 1 << 27
+
+# Gaussian norm below which a point is drawn again, so that scaling it to the sphere stays finite.
+_MIN_NORM = 1e-12
 
 
 def sphere_surface_measure(d: int) -> float:
@@ -263,38 +273,78 @@ def density_floor(pack: SpherePack) -> float:
     return 1.0 / pack.total_volume
 
 
+def _kept(pack: SpherePack, hypothesis: Hypothesis) -> int:
+    """Spheres a choice ranges over: m, or m - 1 once a sphere is removed.
+
+    Refuses an alternate index outside 1..m, and a deletion from a pack of
+    one sphere, before any draw.
+    """
+    m = pack.count
+    if hypothesis.kind == "alternate" and not 1 <= int(hypothesis.index) <= m:
+        raise ValueError(f"alternate index {hypothesis.index} outside 1..{m}")
+    if hypothesis.kind == "null":
+        return m
+    if m < 2:
+        raise ValueError("deleting a sphere requires at least two spheres")
+    return m - 1
+
+
 def _draw_kept(
     pack: SpherePack, hypothesis: Hypothesis, n: int, rng: np.random.Generator, low: int = 0
 ) -> tuple[np.ndarray, int | None]:
     """Removed-index draw (mixture only), then n raw choices among the kept spheres.
 
     This is the leading segment of the sample() stream, and the reference
-    for its order: the count tests' raw-word map (harness._lemire) must
-    match it, and falls back to it, so that index-only consumers agree
-    bitwise with full point synthesis.  Choice c in [0, kept), kept = m, or
-    m - 1 once a sphere is removed, comes back as low + c: the offset is
-    part of the bounded draw, which numpy makes as low plus a draw below
-    kept.  _sphere_labels turns choices at low = 0 into sphere indices.
+    for its order: the raw-word map (_lemire), which the count tests and
+    _sample_batch read, must match it, and falls back to it, so that
+    index-only consumers agree bitwise with full point synthesis.  Choice c
+    in [0, kept), kept = m, or m - 1 once a sphere is removed, comes back
+    as low + c: the offset is part of the bounded draw, which numpy makes
+    as low plus a draw below kept.  _sphere_labels turns choices at low = 0
+    into sphere indices.
     """
-    m = pack.count
+    kept = _kept(pack, hypothesis)
     removed: int | None = None
     if hypothesis.kind == "alternate":
-        if not 1 <= int(hypothesis.index) <= m:
-            raise ValueError(f"alternate index {hypothesis.index} outside 1..{m}")
         removed = int(hypothesis.index)
     elif hypothesis.kind == "mixture":
-        removed = int(rng.integers(1, m + 1))
-    if removed is not None and m < 2:
-        raise ValueError("deleting a sphere requires at least two spheres")
-    kept = m if removed is None else m - 1
+        removed = int(rng.integers(1, pack.count + 1))
     return rng.integers(low, low + kept, size=n), removed
 
 
-def _sphere_labels(chosen: np.ndarray, removed: int | None) -> np.ndarray:
+def _in_zone(products: np.ndarray, bound: int) -> np.ndarray:
+    """Rows of word * bound products that hold one Generator.integers would reject.
+
+    numpy draws a word again when its product's low 32 bits fall below
+    2**32 mod bound; those are the even halves of a little-endian uint64.
+    """
+    threshold = (1 << 32) % bound
+    if not threshold:
+        return np.zeros(len(products), dtype=bool)
+    return products.view("<u4")[:, ::2].min(axis=1, initial=threshold) < threshold
+
+
+def _lemire(words: np.ndarray, bound: int, out: np.ndarray) -> np.ndarray:
+    """Map rows of 32-bit words onto [0, bound) into the '<u8' array out; True where a row needs a redraw.
+
+    This is the map Generator.integers applies to each 32-bit word of a
+    bounded draw below 2**32 (Lemire 2019): choice (word * bound) >> 32,
+    unless the word falls in the rejection zone, where numpy draws again and
+    every later word shifts.  With bound 1 numpy draws no word at all, and
+    the map gives 0 from any word, so the choices agree.
+    """
+    np.multiply(words, np.uint64(bound), out=out, dtype=np.uint64)
+    redraw = _in_zone(out, bound)
+    np.right_shift(out, np.uint64(32), out=out)
+    return redraw
+
+
+def _sphere_labels(chosen: np.ndarray, removed: int | np.ndarray | None) -> np.ndarray:
     """0-based sphere index of each raw choice among the kept spheres.
 
     Index c of the m - 1 kept spheres names sphere c below the removed one
-    and c + 1 from it on: np.delete(np.arange(m), removed - 1)[c].
+    and c + 1 from it on: np.delete(np.arange(m), removed - 1)[c].  A batch
+    passes one removed index a row, as a column.
     """
     return chosen if removed is None else chosen + (chosen >= removed - 1)
 
@@ -314,7 +364,10 @@ def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Gener
     fresh Philox(key=seed) starts in, so a re-keyed generator draws what
     a new one would.  Re-keying takes about 1 us, a new generator about
     20 us; a count-test trial costs about 5 us at m = 64, n = 311, re-key
-    and raw draw included (2-core host, numpy 2.4).
+    and raw draw included, and drawing an estimator trial of 200 points on
+    the m = 4 pack of circles 14 to 16 us in a batch of 20, about 8 of
+    them in its three generator calls, where one trial at a time took 36
+    to 38 us (2-core host, numpy 2.4).
     """
     if rng is None:
         return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
@@ -360,8 +413,101 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
 def _sample(
     pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int, rng: np.random.Generator | None
 ) -> SampleSet:
-    """sample, drawn from rng re-keyed to seed (see _keyed), or from a new generator when rng is None;
-    the estimator's trials re-key one generator a side."""
+    """sample as a batch of one (see _sample_batch), drawn from rng re-keyed to seed (see _keyed), or from a
+    new generator when rng is None."""
+    points, removed = _sample_batch(pack, hypothesis, n, [seed], rng)
+    points = points[0]
+    points.flags.writeable = False
+    return SampleSet(
+        points=points,
+        hypothesis=hypothesis,
+        realized_removed_index=None if removed is None else int(removed[0]),
+        seed=int(seed),
+    )
+
+
+def _sample_buffers(pack: SpherePack, hypothesis: Hypothesis, n: int, rows: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for _sample_batch calls of up to rows trials of n points, allocated after sample's checks.
+
+    They are the raw Philox outputs, the choices, the removed indices (the
+    alternate's index throughout), the Gaussians and the points, whose
+    coordinates past d + 1 stay zero.  The size and hypothesis are refused,
+    with sample's messages, before any array is allocated.
+    """
+    d = pack.intrinsic_dim
+    _check_sample_size(n, d + 1 + pack.ambient_dim)
+    _kept(pack, hypothesis)
+    lead = int(hypothesis.kind == "mixture")
+    return (
+        np.zeros((rows, (lead + n + 1) // 2), dtype="<u8"),
+        np.empty((rows, n), dtype="<u8"),
+        np.full((rows, 1), hypothesis.index or 0, dtype="<u8"),
+        np.empty((rows, n, d + 1)),
+        np.zeros((rows, n, pack.ambient_dim)),
+    )
+
+
+def _sample_batch(
+    pack: SpherePack,
+    hypothesis: Hypothesis,
+    n: int,
+    seeds: Sequence[int],
+    rng: np.random.Generator | None,
+    out: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """sample for each seed: the (len(seeds), n, D) points and, but under the null, the 1-based removed indices.
+
+    A trial makes three calls: it re-keys rng (see _keyed), reads the raw
+    Philox outputs that its removed index and choices take, two 32-bit words
+    an output, low half first, and draws its Gaussians.  The 32-bit half an
+    odd word count leaves buffered is one standard_normal never reads, so
+    the Gaussians are the ones sample draws after its bounded draws.  The
+    rest is done once a batch: the raw-word map (_lemire) gives the choices
+    and a mixture's removed index, then come the labels, the norms and the
+    placement, with sample's arithmetic.  A trial with a word in a rejection
+    zone, or a Gaussian norm below _MIN_NORM, is drawn again by
+    _sample_reference, so every row holds the bytes sample gives its seed.
+    out, from _sample_buffers(pack, hypothesis, n, rows) with rows at least
+    len(seeds), is reused by the call and holds the arrays returned; when
+    None, arrays for this call are allocated.
+    """
+    b = len(seeds)
+    words, chosen, removed, gauss, points = (a[:b] for a in out or _sample_buffers(pack, hypothesis, n, b))
+    d, kept = pack.intrinsic_dim, _kept(pack, hypothesis)
+    lead = int(hypothesis.kind == "mixture")
+    outputs = (lead + (n if kept > 1 else 0) + 1) // 2  # numpy draws no word on a range of one
+    for i, seed in enumerate(seeds):
+        rng = _keyed(seed, rng)
+        words[i, :outputs] = rng.bit_generator.random_raw(outputs)
+        rng.standard_normal(out=gauss[i])
+    halves = words.view("<u4")
+    redo = _lemire(halves[:, lead : lead + n], kept, chosen)
+    if lead:
+        redo |= _lemire(halves[:, :1], pack.count, removed)
+        removed += np.uint64(1)
+    spheres = _sphere_labels(chosen.view("<i8"), None if hypothesis.kind == "null" else removed.view("<i8"))
+    norms = np.linalg.norm(gauss, axis=-1)
+    short = norms < _MIN_NORM
+    redo |= short.any(axis=1)
+    norms[short] = 1.0  # those trials are drawn again below; keeps the division finite
+    # sample's centers + radius * gauss / norms, operand for operand; take gathers faster than indexing
+    place = points[..., : d + 1]
+    np.multiply(gauss, pack.radius, out=place)
+    place /= norms[..., None]
+    place += np.take(pack.centers[:, : d + 1], spheres, axis=0)
+    for i in np.flatnonzero(redo).tolist():
+        drawn = _sample_reference(pack, hypothesis, n, seeds[i], rng)
+        points[i] = drawn.points
+        if lead:
+            removed[i] = drawn.realized_removed_index
+    return points, None if hypothesis.kind == "null" else removed[:, 0]
+
+
+def _sample_reference(
+    pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int, rng: np.random.Generator | None
+) -> SampleSet:
+    """sample drawn through Generator calls, from rng re-keyed to seed, or from a new generator when rng is
+    None: the reference _sample_batch must match, and falls back to."""
     d = pack.intrinsic_dim
     _check_sample_size(n, d + 1 + pack.ambient_dim)
     rng = _keyed(seed, rng)
@@ -369,8 +515,8 @@ def _sample(
     spheres = _sphere_labels(chosen, removed)
     gauss = rng.standard_normal((n, d + 1))
     norms = np.linalg.norm(gauss, axis=1)
-    while np.any(norms < 1e-12):  # essentially unreachable; keeps the map total
-        redo = norms < 1e-12
+    while np.any(norms < _MIN_NORM):  # essentially unreachable; keeps the map total
+        redo = norms < _MIN_NORM
         gauss[redo] = rng.standard_normal((int(redo.sum()), d + 1))
         norms = np.linalg.norm(gauss, axis=1)
     points = np.zeros((n, pack.ambient_dim))

@@ -9,16 +9,17 @@ read only the empty-sphere count, so a side draws each trial's sphere
 choices once, at the largest sample size it needs, and reads every size
 off that one draw: the first n choices of a longer draw are a draw of n.
 A count-test trial reads raw Philox words, and one vectorised Lemire map
-per block turns them into the choices Generator.integers would make; a
-trial with a word numpy would reject is drawn through geometry._draw_kept
-instead.  That map and the word order are numpy internals, pinned by
-golden tests.  Rows of trials are tallied in blocks of at most
-_DRAW_BUFFER choices, and a side refuses more than _MAX_DRAWS choices,
-and an estimator side more than _MAX_POINTS points, before drawing any;
-an estimator sweep draws every row afresh, so it counts trials times the
-summed sizes.  The estimator draws each trial's
-points as geometry.sample does, into a batch of at most _BATCH_POINTS
-points, and counts each batch's components in one call, one group a
+per block (geometry._lemire) turns them into the choices
+Generator.integers would make; a trial with a word numpy would reject is
+drawn through geometry._draw_kept instead.  That map and the word order
+are numpy internals, pinned by golden tests.  Rows of trials are tallied
+in blocks of at most _DRAW_BUFFER choices, and a side refuses more than
+_MAX_DRAWS choices, and an estimator side more than _MAX_POINTS points,
+before drawing any; an estimator sweep draws every row afresh, so it
+counts trials times the summed sizes.  The estimator draws each batch of
+at most _BATCH_POINTS points in one geometry._sample_batch call, into
+arrays allocated once a side, each trial the bytes geometry.sample gives
+its seed, and counts each batch's components in one call, one group a
 trial: from each circle's cyclic spacings, one sort a batch, on a pack
 of circles, and with the grouped component count on every other pack
 and for any trial the spacing count cannot certify.
@@ -62,9 +63,9 @@ _DRAW_BUFFER = 1 << 16
 # whose rows draw afresh.
 _MAX_DRAWS = 1 << 32
 
-# Most points an estimator side draws, counted as its sphere choices are: a point costs 1.7 to 2.4 us
-# on a d = 2 pack in 3-space and 0.3 to 0.4 us on a pack of circles (2-core host, after the cyclic
-# spacing count), so a side at the limit runs about a minute at most, where _MAX_DRAWS allowed over an hour.
+# Most points an estimator side draws, counted as its sphere choices are: a point costs 0.9 to 1.5 us
+# on a d = 2 pack in 3-space and about 0.3 us on a pack of circles (2-core host, with batches drawn in
+# one pass), so a side at the limit runs about a minute at most, where _MAX_DRAWS allowed over an hour.
 _MAX_POINTS = 1 << 25
 
 # Most points one batch of estimator trials holds, 4096: a batch's grouped component count holds
@@ -215,33 +216,6 @@ def _build(config: TrialConfig) -> SpherePack:
     return geometry.build_pack(config.intrinsic_dim, config.ambient_dim, config.radius)
 
 
-def _in_zone(products: np.ndarray, bound: int) -> np.ndarray:
-    """Rows of word * bound products that hold one Generator.integers would reject.
-
-    numpy draws a word again when its product's low 32 bits fall below
-    2**32 mod bound; those are the even halves of a little-endian uint64.
-    """
-    threshold = (1 << 32) % bound
-    if not threshold:
-        return np.zeros(len(products), dtype=bool)
-    return products.view("<u4")[:, ::2].min(axis=1, initial=threshold) < threshold
-
-
-def _lemire(words: np.ndarray, bound: int, out: np.ndarray) -> np.ndarray:
-    """Map rows of 32-bit words onto [0, bound) into the '<u8' array out; True where a row needs a redraw.
-
-    This is the map Generator.integers applies to each 32-bit word of a
-    bounded draw below 2**32 (Lemire 2019): choice (word * bound) >> 32,
-    unless the word falls in the rejection zone, where numpy draws again and
-    every later word shifts.  With bound 1 numpy draws no word at all, and
-    the map gives 0 from any word, so the choices agree.
-    """
-    np.multiply(words, np.uint64(bound), out=out, dtype=np.uint64)
-    redraw = _in_zone(out, bound)
-    np.right_shift(out, np.uint64(32), out=out)
-    return redraw
-
-
 def _count_rejections(
     config: TrialConfig,
     pack: SpherePack,
@@ -270,9 +244,7 @@ def _count_rejections(
     """
     m = pack.count
     lead = int(hypothesis.kind == "mixture")
-    kept = m if hypothesis.kind == "null" else m - 1
-    if kept < 1:
-        raise ValueError("deleting a sphere requires at least two spheres")
+    kept = geometry._kept(pack, hypothesis)
     top = sizes[-1]
     # the cap bounds a block's draws, rows * width, and its per-trial hit counts, rows * kept
     rows = min(config.trials, max(1, _DRAW_BUFFER // max(top, kept, 1)))
@@ -309,9 +281,9 @@ def _count_rejections(
                         raw[i, :outputs] = rng.bit_generator.random_raw(outputs)
                 else:  # one trial per block; output 0 holds the carried half-word, if any
                     raw[0, at:outputs] = rng.bit_generator.random_raw(outputs - at)
-                redraw = _lemire(words[:block, at:end], kept, choices[:block, :span])
+                redraw = geometry._lemire(words[:block, at:end], kept, choices[:block, :span])
                 if first == 0 and lead:
-                    redraw |= _lemire(words[:block, :1], m, removed[:block])
+                    redraw |= geometry._lemire(words[:block, :1], m, removed[:block])
                 choices[:block, :span] += offsets[:block]
                 for i in np.flatnonzero(redraw).tolist():
                     rng = geometry._keyed(keys[i], rng)
@@ -336,9 +308,10 @@ def _count_rejections(
 def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hypothesis, stream: int, n: int) -> int:
     """Trials on which the plug-in test rejects, one full point sample of size n each.
 
-    Each trial is drawn by geometry._sample on its own keyed stream into a
-    row of one batch of at most _BATCH_POINTS points, or of one trial when
-    n is larger, and each filled batch takes one component count
+    Each batch of at most _BATCH_POINTS points, or one trial when n is
+    larger, is drawn by one geometry._sample_batch call, each trial on its
+    own keyed stream, into arrays allocated once a side after sample's
+    checks, and takes one component count
     (homology._estimator_counts), with homology_estimator's checks: from
     cyclic spacings on a pack of circles, else grouped.  The edge rule
     reads two points only and no edge joins two trials, so each count is
@@ -350,18 +323,14 @@ def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hyp
     # callers may override anywhere in (0, 2*radius).
     scale = pack.radius if config.scale is None else float(config.scale)
     rows = min(config.trials, max(1, _BATCH_POINTS // max(n, 1)))
+    out = geometry._sample_buffers(pack, hypothesis, n, rows)  # one set a side, after sample's checks
     seeds = _trial_seeds(config.master_seed, config.trials, stream)
     rng = geometry._keyed(0)  # one generator a side, re-keyed to each trial's seed
-    batch = None  # allocated at the first draw, after _sample has checked n
     rejections = 0
     for start in range(0, config.trials, rows):
-        block = min(rows, config.trials - start)
-        for i, seed in enumerate(itertools.islice(seeds, block)):
-            points = geometry._sample(pack, hypothesis, n, seed, rng).points
-            if batch is None:
-                batch = np.empty((rows, *points.shape))
-            batch[i] = points
-        counts = homology._estimator_counts(pack, batch[:block], scale)
+        block = list(itertools.islice(seeds, min(rows, config.trials - start)))
+        points, _ = geometry._sample_batch(pack, hypothesis, n, block, rng, out)
+        counts = homology._estimator_counts(pack, points, scale)
         rejections += int(np.count_nonzero(counts < pack.count))
     return rejections
 

@@ -17,9 +17,10 @@ one forest as soon as it is tested, so it holds one block and the forest.
 rips takes its pairs from a sweep over the points sorted on an axis,
 which tests only the pairs that axis leaves within reach; the component
 count takes the same sweep's pairs, except on 2-D and 3-D clouds with
-more than one block of candidates, where it counts over clique cells of
-side scale/sqrt(D) and tests only pairs of cells that the forest has not
-yet joined.  The count takes groups of equally many points and counts
+more than one block of candidates, and enough of them a point to pay for
+the cells' offsets, where it counts over clique cells of side
+scale/sqrt(D) and tests only pairs of cells that the forest has not yet
+joined.  The count takes groups of equally many points and counts
 each on its own, since no pair joins two groups: betti0_linkage is the
 count of one group, and the Monte Carlo harness counts a batch of
 estimator trials in one call, on the route that the batch's summed sweep
@@ -71,6 +72,16 @@ _MAX_PAIRS = 1 << 26
 # cell that sqrt(3) leaves below 2, so no edge joins cells more than two apart.  The keys, with two
 # cells of margin a side, stay below (2**20 + 5)**3 < 2**63.
 _GRID_SPAN = 1 << 20
+
+# Sweep candidates a point must have for each cell offset (see _cell_components), in a cloud or batch
+# past one block of them, for the component count to go over cells.  Each offset searches every
+# occupied cell, at most one a point, so the cells' cost grows with offsets times points, and the
+# trials of a batch fill cells of their own.  In 3-space (62 offsets) batches of the d = 2 pack,
+# tau = 1/8 and 1/16, cross over near 47 candidates a point: the sweep took 5.6 ms against the
+# cells' 7.8 ms at 33, 7.3 against 7.3 at 47 and 8.6 against 6.3 at 62 (4000 points a batch, one
+# core of a 2-core VM); in the plane (12 offsets) near 12.  A cloud of one group fills its cells
+# and crosses earlier, so one block stays the floor.
+_CANDIDATES_PER_OFFSET = 0.75
 
 # Most simplices of one level that may be listed, or walked to count the level above (see
 # rips): room for every complex the tests and the benchmark build, while a dense one, up to
@@ -587,16 +598,19 @@ def _components(pts: np.ndarray, scale: float) -> np.ndarray:
     no later block reads below its first edge.  Blocks after the first drop
     the candidates whose ends the forest has already joined before testing
     them.  In 2 or 3 dimensions, when the sweep would test more than one
-    block of candidates in all groups together, the count is taken over
-    clique cells instead (see _cell_components), which tests far fewer pairs
-    on large clouds; groups too wide for the cells' int64 keys stay on the
-    sweep.  Either way memory is one block of at most _BLOCK_FLOATS words
-    plus arrays of a few entries a point.
+    block of candidates in all groups together, and more than
+    _CANDIDATES_PER_OFFSET a point for each cell offset, the count is taken
+    over clique cells instead (see _cell_components), which tests far fewer
+    pairs on large clouds; groups too wide for the cells' int64 keys stay
+    on the sweep.  Either way memory is one block of at most _BLOCK_FLOATS
+    words plus arrays of a few entries a point.
     """
     groups, n, dims = pts.shape
     parent = np.arange(groups * n)
     _, candidates, blocks = _sweep(pts, scale, parent)
-    if dims in (2, 3) and candidates > _BLOCK_FLOATS // 8:
+    if dims in (2, 3) and candidates > max(
+        _BLOCK_FLOATS // 8, _CANDIDATES_PER_OFFSET * len(_CELL_OFFSETS[dims]) * groups * n
+    ):
         counts = _cell_components(pts, scale)
         if counts is not None:
             return counts
@@ -613,7 +627,7 @@ def betti0_linkage(points, threshold: float) -> ClusterEstimate:
     """Component count of the graph with edges at distance <= threshold.
 
     The points are one group of the grouped count (see _components): the
-    neighbour sweep's pairs, or in 2 or 3 dimensions past one block of
+    neighbour sweep's pairs, or in 2 or 3 dimensions past its threshold of
     sweep candidates the clique cells', hooked into one forest block by
     block.  Memory is one block of at most _BLOCK_FLOATS words plus arrays
     of a few entries a point; no point budget.  More than _MAX_PAIRS sweep

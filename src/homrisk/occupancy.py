@@ -354,7 +354,9 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
         return probs
     route = _route(m, n)
     if route == "exact":
-        row = [i**n for i in range(m + 1)]
+        row = [0, 1]  # m >= 1 and n >= 1 here
+        for i in range(2, m + 1):  # (2j)**n is j**n shifted by n bits: half the powers cost a shift
+            row.append(i**n if i & 1 else row[i >> 1] << n)
         if k_stop == 1:  # P(K = 0) alone: one alternating sum, no table
             onto = {m: sum((-1) ** j * math.comb(m, j) * row[m - j] for j in range(m + 1))}
         else:

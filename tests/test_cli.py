@@ -394,7 +394,8 @@ POINT_FILES = {
         ("risk-mc --d 1 --D 2 --tau 0.0625 --n 200 --trials 250 --seed 11 --test estimator --scale 0.03",
          f"{MC_NOTE}\ntest=estimator\nn=200\ntrials=250\ntype_I_hat=0.0\ntype_II_hat=0.15600000000000003\n"
          "risk_hat=0.15600000000000003\nstderr=0.022948986905743794"),
-        # 3-D trials, each about 5900 sweep candidates, 20 to a batch over clique cells
+        # 3-D trials, each about 5900 sweep candidates, 20 to a batch: about 30 a point, under the 46.5 that
+        # the cells' 62 offsets ask, so on the sweep, where they took the cells while one block was the rule
         ("risk-mc --d 2 --D 3 --tau 0.125 --n 200 --trials 100 --seed 3 --test estimator --scale 0.09",
          f"{MC_NOTE}\ntest=estimator\nn=200\ntrials=100\ntype_I_hat=0.0\ntype_II_hat=0.040000000000000036\n"
          "risk_hat=0.040000000000000036\nstderr=0.019595917942265433"),

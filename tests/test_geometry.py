@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,6 +234,121 @@ def test_sample_is_deterministic_per_seed():
         again = geometry._sample(pack, Hypothesis.mixture(), 250, seed, rng)
         assert again.points.tobytes() == want.points.tobytes()
         assert again.realized_removed_index == want.realized_removed_index
+
+
+SAMPLER_PACKS = [build_pack(1, 2, 1 / 16), build_pack(1, 3, 0.15), build_pack(2, 3, 1 / 8), build_pack(3, 4, 1 / 8)]
+
+
+def sampler_hypotheses(pack):
+    return [Hypothesis.null(), Hypothesis.mixture(), Hypothesis.alternate(1), Hypothesis.alternate(pack.count)]
+
+
+def assert_reference_rows(pack, hyp, n, seeds, points, removed):
+    for i, seed in enumerate(seeds):
+        want = geometry._sample_reference(pack, hyp, n, seed, None)
+        assert points[i].tobytes() == want.points.tobytes(), (pack.count, hyp, n, i)
+        assert (None if removed is None else int(removed[i])) == want.realized_removed_index
+
+
+@pytest.mark.parametrize("pack", SAMPLER_PACKS, ids=["d1D2", "d1D3-m2", "d2D3", "d3D4"])
+def test_batched_sampler_gives_the_reference_bytes(pack):
+    # the m = 2 pack keeps one sphere under a deletion, where numpy draws no word for the choices
+    seeds = [derive_seed(2013, t, 1) for t in range(7)]
+    for hyp, n in itertools.product(sampler_hypotheses(pack), (0, 1, 2, 7, 200)):
+        out = geometry._sample_buffers(pack, hyp, n, 7)
+        rng = geometry._keyed(0)
+        for block in (seeds[:1], seeds, seeds[2:5]):  # batches of one and of odd sizes, on buffers reused
+            for buffers in (None, out):
+                points, removed = geometry._sample_batch(pack, hyp, n, block, rng, buffers)
+                assert points.shape == (len(block), n, pack.ambient_dim)
+                assert_reference_rows(pack, hyp, n, block, points, removed)
+        drawn = geometry._sample(pack, hyp, n, seeds[3], None)
+        assert drawn.points.tobytes() == geometry._sample_reference(pack, hyp, n, seeds[3], None).points.tobytes()
+
+
+@pytest.mark.parametrize("cause", ["zone", "norm"])
+def test_batched_sampler_draws_flagged_trials_again_through_the_reference(monkeypatch, cause):
+    # flagging words numpy accepted, or raising the norm floor to 1.5, under which a third to two thirds
+    # of the Gaussians fall, sends trials to the reference, whose bytes they then hold
+    redrawn = []
+    reference = geometry._sample_reference
+
+    def recorded(pack, hyp, n, seed, rng):
+        redrawn.append(seed)
+        return reference(pack, hyp, n, seed, rng)
+
+    monkeypatch.setattr(geometry, "_sample_reference", recorded)
+    if cause == "zone":
+        monkeypatch.setattr(geometry, "_in_zone", lambda products, bound: np.arange(len(products)) % 3 == 1)
+    else:
+        monkeypatch.setattr(geometry, "_MIN_NORM", 1.5)
+    seeds = [derive_seed(7, t, 0) for t in range(7)]
+    for pack in SAMPLER_PACKS:
+        for hyp in sampler_hypotheses(pack):
+            redrawn.clear()
+            points, removed = geometry._sample_batch(pack, hyp, 40, seeds, geometry._keyed(0))
+            if cause == "zone":
+                assert redrawn == seeds[1::3]
+            else:
+                assert redrawn == seeds
+            assert_reference_rows(pack, hyp, 40, seeds, points, removed)
+
+
+def test_batched_sampler_redraws_a_removed_index_in_the_rejection_zone():
+    # 2**32 mod 30036 is near 30036, and this seed puts the mixture's removed-index word in the zone,
+    # where numpy draws again and every later word shifts
+    m = 30036
+    pack = build_pack(intrinsic_dim=1, ambient_dim=2, radius=1 / (4 * m - 2))
+    seeds = [derive_seed(15522, t, 1) for t in range(3)]
+    word = int(geometry._keyed(seeds[0]).bit_generator.random_raw()) & 0xFFFFFFFF
+    assert pack.count == m and word * m % 2**32 < 2**32 % m
+    points, removed = geometry._sample_batch(pack, Hypothesis.mixture(), 5, seeds, None)
+    assert_reference_rows(pack, Hypothesis.mixture(), 5, seeds, points, removed)
+
+
+def test_sampler_refuses_before_any_draw_or_allocation(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("drew or allocated before the arguments were checked")
+
+    one = build_pack(1, 2, 0.3)
+    four = build_pack(1, 2, 1 / 16)
+    assert one.count == 1
+    monkeypatch.setattr(geometry, "_MAX_PACK_FLOATS", 400)
+    monkeypatch.setattr(geometry, "_keyed", refused)
+    for name in ("zeros", "empty", "full"):
+        monkeypatch.setattr(np, name, refused)
+    cases = [
+        (four, Hypothesis.null(), 101, r"^101 points need 404 array values, above the limit of 400$"),
+        (four, Hypothesis.mixture(), -1, r"^sample size must be >= 0$"),
+        (four, Hypothesis.alternate(5), 10, r"^alternate index 5 outside 1\.\.4$"),
+        (one, Hypothesis.alternate(2), 10, r"^alternate index 2 outside 1\.\.1$"),
+        (one, Hypothesis.alternate(1), 10, r"^deleting a sphere requires at least two spheres$"),
+        (one, Hypothesis.mixture(), 10, r"^deleting a sphere requires at least two spheres$"),
+    ]
+    for pack, hyp, n, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sample(pack, hyp, n, seed=1)
+        with pytest.raises(ValueError, match=message):
+            geometry._sample_buffers(pack, hyp, n, 20)
+
+
+def test_raw_words_then_gaussians_golden():
+    # The batched sampler reads a trial's bounded draws as raw Philox outputs, then draws its Gaussians:
+    # that gives the Gaussians Generator.integers leaves only while standard_normal never reads the
+    # 32-bit half an odd word count leaves buffered.  Pinned at odd and even word counts, with and
+    # without a mixture's leading word, and on a range of one, where numpy draws no word
+    for key, kept, lead, n in itertools.product(
+        [derive_seed(2013, t, 1) for t in range(3)], (1, 3, 63, 1023), (0, 1), (0, 1, 2, 7, 200, 201)
+    ):
+        words = lead + (n if kept > 1 else 0)
+        raw = geometry._keyed(key)
+        raw.bit_generator.random_raw((words + 1) // 2)
+        drawn = geometry._keyed(key)
+        if lead:
+            drawn.integers(1, kept + 2)
+        drawn.integers(0, kept, size=n)
+        assert drawn.bit_generator.state["has_uint32"] == words % 2
+        assert raw.standard_normal(9).tobytes() == drawn.standard_normal(9).tobytes(), (kept, lead, n)
 
 
 def test_sample_assignments_matches_full_sampler():

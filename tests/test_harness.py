@@ -172,8 +172,8 @@ def test_raw_words_and_map_golden():
         746778256, 2459372314,
     ]
     removed, choices = np.empty((1, 1), dtype="<u8"), np.empty((1, 8), dtype="<u8")
-    assert not harness._lemire(words[None, :1], 64, removed)[0]
-    assert not harness._lemire(words[None, 1:9], 63, choices)[0]
+    assert not geometry._lemire(words[None, :1], 64, removed)[0]
+    assert not geometry._lemire(words[None, 1:9], 63, choices)[0]
     assert int(removed[0, 0]) + 1 == 31
     assert choices[0].tolist() == [19, 12, 14, 25, 58, 8, 9, 10]
 
@@ -185,9 +185,9 @@ def test_raw_map_matches_generator_integers(kept):
         raw = geometry._keyed(key).bit_generator.random_raw((lead + n + 1) // 2)
         words = np.asarray(raw, dtype="<u8").view("<u4")[None, : lead + n]
         removed, choices = np.empty((1, 1), dtype="<u8"), np.empty((1, n), dtype="<u8")
-        redraw = harness._lemire(words[:, lead:], kept, choices)[0]
+        redraw = geometry._lemire(words[:, lead:], kept, choices)[0]
         if lead:
-            redraw |= harness._lemire(words[:, :1], kept + 1, removed)[0]
+            redraw |= geometry._lemire(words[:, :1], kept + 1, removed)[0]
         rng = geometry._keyed(key)
         head = [int(rng.integers(1, kept + 2))] if lead else []
         expected = head + rng.integers(0, kept, size=n).tolist()
@@ -404,7 +404,7 @@ def test_count_path_redraws_flagged_trials_through_the_reference(monkeypatch, fl
     def in_zone(products, bound):
         return np.ones(len(products), bool) if flagged == "every" else coin.random(len(products)) < 0.5
 
-    monkeypatch.setattr(harness, "_in_zone", in_zone)
+    monkeypatch.setattr(geometry, "_in_zone", in_zone)
     for shape, sizes in ((M2, [0, 3, 12]), (M4, [2, 10]), (M64, [0, 40, 90])):
         pack = build_pack(**shape)
         k_rejects = [exact_lrt_risk(pack.count, n).k_threshold for n in sizes]

@@ -550,10 +550,11 @@ def test_linkage_matches_the_oracle_on_clouds_with_ties(cloud):
     assume(pts.shape[0] > 0)
     want = oracles.component_count(pts, scale)
     assert betti0_linkage(pts, scale).cluster_count == want
-    # at one candidate pair a block, a cloud of 2 or 3 dimensions with two candidates takes the cell path,
-    # and the others sweep in blocks of one pair
+    # at one candidate pair a block and no floor a point, a cloud of 2 or 3 dimensions with two candidates
+    # takes the cell path, and the others sweep in blocks of one pair
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homology, "_BLOCK_FLOATS", 8)
+        patch.setattr(homology, "_CANDIDATES_PER_OFFSET", 0)
         assert betti0_linkage(pts, scale).cluster_count == want
 
 
@@ -629,7 +630,9 @@ def test_linkage_memory_is_bounded():
         assert peak < 4_000_000
 
 
-def test_linkage_takes_the_cell_path_only_past_one_block_in_two_or_three_dimensions(monkeypatch):
+def test_linkage_takes_the_cell_path_only_past_its_candidate_threshold_in_two_or_three_dimensions(monkeypatch):
+    # the cells take a cloud or batch of 2 or 3 dimensions past one block of sweep candidates and past
+    # _CANDIDATES_PER_OFFSET a point for each cell offset: 9 a point in the plane, 46.5 in 3-space
     calls = []
     cell_components = homology._cell_components
 
@@ -638,13 +641,29 @@ def test_linkage_takes_the_cell_path_only_past_one_block_in_two_or_three_dimensi
         return cell_components(pts, scale)
 
     monkeypatch.setattr(homology, "_cell_components", recorded)
+    assert [homology._CANDIDATES_PER_OFFSET * len(homology._CELL_OFFSETS[dims]) for dims in (2, 3)] == [9, 46.5]
     rng = np.random.default_rng(41)
-    # 400 points in the unit cube at scale 0.2: about 32 000 candidate pairs for the sweep, two blocks
-    for dims in (1, 2, 3, 4):
-        pts = rng.uniform(size=(400, dims))
-        assert homology._sweep(pts[None], 0.2)[1] > homology._BLOCK_FLOATS // 8
+    clouds = {dims: rng.uniform(size=(400, dims)) for dims in (1, 2, 3, 4)}
+    # 400 points in the unit cube at scale 0.2: about 29 000 candidate pairs for the sweep, two blocks
+    for dims, pts in clouds.items():
+        assert homology._sweep(pts[None], 0.2)[1] > max(homology._BLOCK_FLOATS // 8, 46.5 * 400)
         assert betti0_linkage(pts, 0.2).cluster_count == oracles.component_count(pts, 0.2)
     assert calls == [(1, 400, 2), (1, 400, 3)]
+    # at scale 0.12 the 3-D cloud has 18 277 candidates, past one block but under 46.5 a point: the sweep
+    calls.clear()
+    assert homology._BLOCK_FLOATS // 8 < homology._sweep(clouds[3][None], 0.12)[1] < 46.5 * 400
+    assert betti0_linkage(clouds[3], 0.12).cluster_count == oracles.component_count(clouds[3], 0.12)
+    assert calls == []
+    # estimator batches on the d = 2 pack in 3-space: twenty 200-point trials at scale 0.09 have about
+    # 30 candidates a point, seven blocks, and sweep; ten 400-point trials at scale 0.12 have 73 and take
+    # the cells
+    pack = build_pack(2, 3, 1 / 8)
+    for n, scale, routes in ((200, 0.09, []), (400, 0.12, [(10, 400, 3)])):
+        trials = np.stack([sample(pack, Hypothesis.null(), n, seed).points for seed in range(4096 // n)])
+        want = [oracles.component_count(trial, scale) for trial in trials[:2]]
+        calls.clear()
+        assert homology._components(trials, scale).tolist()[:2] == want
+        assert calls == routes
     # an estimator trial's 200 points on the README m = 4 pack, 3250 candidates, stay on the sweep
     pack = build_pack(1, 2, 1 / 16)
     trial = sample(pack, Hypothesis.null(), 200, 5).points
@@ -724,10 +743,11 @@ def test_the_grouped_count_is_each_groups_own_count(batch):
     if pts.shape[2] in (2, 3):
         cells = homology._cell_components(pts, scale)
         assert cells is not None and cells.tolist() == want
-    # at one candidate pair a block, a batch of 2 or 3 dimensions with two candidates in all
-    # takes the cell path, whatever each group alone would take
+    # at one candidate pair a block and no floor a point, a batch of 2 or 3 dimensions with two
+    # candidates in all takes the cell path, whatever each group alone would take
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homology, "_BLOCK_FLOATS", 8)
+        patch.setattr(homology, "_CANDIDATES_PER_OFFSET", 0)
         assert homology._components(pts, scale).tolist() == want
 
 
@@ -744,9 +764,11 @@ def test_the_grouped_count_takes_one_route_for_the_whole_batch(monkeypatch):
     pack = build_pack(1, 2, 1 / 16)
     trials = np.stack([sample(pack, Hypothesis.null(), 200, seed).points for seed in range(20)])
     want = [oracles.component_count(trial, pack.radius) for trial in trials[:3]]
-    # one trial has about 3200 sweep candidates, under one block of 16 384; twenty have more
+    # one trial has about 3100 sweep candidates, under one block of 16 384; twenty have more, about 16 a
+    # point, past the 9 a point that the plane's 12 cell offsets ask
     block = homology._BLOCK_FLOATS // 8
     assert homology._sweep(trials[:1], pack.radius)[1] < block < homology._sweep(trials, pack.radius)[1]
+    assert homology._sweep(trials, pack.radius)[1] > homology._CANDIDATES_PER_OFFSET * 12 * 4000
     assert [betti0_linkage(trial, pack.radius).cluster_count for trial in trials[:3]] == want
     assert routes == []
     assert homology._components(trials, pack.radius).tolist()[:3] == want
@@ -775,6 +797,7 @@ def test_a_batch_wider_than_the_grid_span_stays_on_the_sweep(monkeypatch):
     cell_components = homology._cell_components
     monkeypatch.setattr(homology, "_cell_components", lambda pts, scale: routes.append(cell_components(pts, scale)))
     monkeypatch.setattr(homology, "_BLOCK_FLOATS", 8)
+    monkeypatch.setattr(homology, "_CANDIDATES_PER_OFFSET", 0)
     assert homology._components(np.stack([wide, wide + 3.0]), 1.0).tolist() == [2, 2]
     assert routes == [None]
 
