@@ -104,7 +104,7 @@ def _cmd_risk_mc(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_step < 1:
         raise ValueError("--n-step must be >= 1")
-    sizes = list(range(args.n_min, args.n_max + 1, args.n_step))
+    sizes = range(args.n_min, args.n_max + 1, args.n_step)  # kept lazy: sweep_n checks its draws before listing any
     rows = harness.sweep_n(_trial_config(args, args.n_min), sizes)
     harness.emit_csv(rows, args.out)
     print(RISK_NOTE)

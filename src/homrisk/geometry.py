@@ -7,13 +7,13 @@ caller's seed, so draws are reproducible and independent of execution
 layout.  Batch callers re-key one generator per stream and hash their
 stream seeds in vectorised blocks: a seed has three parts, the master,
 the trial index and the stream code, in at most four 32-bit words, so a
-stream runs at most 2**32 trials.  A batch of samples is drawn in one
-pass (_sample_batch): each trial reads its bounded draws as raw Philox
-words and draws its Gaussians, and the raw-word map the count tests share
-(_lemire), the labels and the placement run once a batch; sample is a
-batch of one.  The word order, the map and the Gaussians that follow raw
-words are numpy internals, pinned by golden tests, and a trial the map
-cannot give is drawn through the reference, _sample_reference.
+stream runs at most 2**32 trials.  One raw-word draw (_draw_words) gives
+the count tests' sphere choices and the sampler's: each trial of a block
+reads its bounded draws as raw Philox words, and one vectorised map turns
+the block's words into the choices Generator.integers makes.  A batch of
+samples is drawn on it in one pass (_sample_batch); sample is a batch of
+one.  A trial the map cannot give is drawn through the reference,
+_draw_kept for choices and _sample_reference for points.
 """
 from __future__ import annotations
 
@@ -290,18 +290,16 @@ def _kept(pack: SpherePack, hypothesis: Hypothesis) -> int:
 
 
 def _draw_kept(
-    pack: SpherePack, hypothesis: Hypothesis, n: int, rng: np.random.Generator, low: int = 0
+    pack: SpherePack, hypothesis: Hypothesis, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int | None]:
     """Removed-index draw (mixture only), then n raw choices among the kept spheres.
 
     This is the leading segment of the sample() stream, and the reference
-    for its order: the raw-word map (_lemire), which the count tests and
-    _sample_batch read, must match it, and falls back to it, so that
-    index-only consumers agree bitwise with full point synthesis.  Choice c
-    in [0, kept), kept = m, or m - 1 once a sphere is removed, comes back
-    as low + c: the offset is part of the bounded draw, which numpy makes
-    as low plus a draw below kept.  _sphere_labels turns choices at low = 0
-    into sphere indices.
+    for its order: the raw-word draw (_draw_words) must match it, and falls
+    back to it, so that index-only consumers agree bitwise with full point
+    synthesis.  Choices lie in [0, kept), kept = m, or m - 1 once a sphere
+    is removed; Generator.integers calls on rng afterwards continue the
+    same choices.  _sphere_labels turns them into sphere indices.
     """
     kept = _kept(pack, hypothesis)
     removed: int | None = None
@@ -309,7 +307,54 @@ def _draw_kept(
         removed = int(hypothesis.index)
     elif hypothesis.kind == "mixture":
         removed = int(rng.integers(1, pack.count + 1))
-    return rng.integers(low, low + kept, size=n), removed
+    return rng.integers(0, kept, size=n), removed
+
+
+def _word_buffers(hypothesis: Hypothesis, n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays for _draw_words calls of up to rows trials of n choices: the raw Philox outputs, the
+    choices and the removed indices, which hold the alternate's index throughout."""
+    lead = int(hypothesis.kind == "mixture")
+    return (
+        np.zeros((rows, (lead + n + 1) // 2), dtype="<u8"),
+        np.empty((rows, n), dtype="<u8"),
+        np.full((rows, 1), hypothesis.index or 0, dtype="<u8"),
+    )
+
+
+def _draw_words(
+    pack: SpherePack, hypothesis: Hypothesis, n: int, seeds: Sequence[int], rng: np.random.Generator | None,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray], gauss: np.ndarray | None = None,
+) -> np.ndarray:
+    """_draw_kept for each seed, read from raw Philox words; True on the rows that need the reference.
+
+    buffers, from _word_buffers, hold at least len(seeds) rows of n choices.
+    Each trial re-keys rng (see _keyed; a new generator when None) and makes
+    one random_raw call, two 32-bit words an output, low half first: a
+    mixture's removed index, then the choices, none when one sphere is kept,
+    as numpy draws no word on a range of one.  Given gauss, each trial then
+    fills its row with standard_normal, which never reads the half an odd
+    word count leaves buffered, so these are sample's Gaussians.  One Lemire
+    map (_lemire) a block gives the choices and a mixture's 1-based removed
+    index, and flags a row with a word in a rejection zone, where numpy
+    would draw again.  The word order, the map and the Gaussians that follow
+    raw words are numpy internals, pinned by golden tests.
+    """
+    b = len(seeds)
+    words, chosen, removed = buffers
+    kept = _kept(pack, hypothesis)
+    lead = int(hypothesis.kind == "mixture")
+    outputs = (lead + (n if kept > 1 else 0) + 1) // 2
+    for i, seed in enumerate(seeds):
+        keyed = _keyed(seed, rng)
+        words[i, :outputs] = keyed.bit_generator.random_raw(outputs)
+        if gauss is not None:
+            keyed.standard_normal(out=gauss[i])
+    halves = words[:b].view("<u4")
+    redo = _lemire(halves[:, lead : lead + n], kept, chosen[:b, :n])
+    if lead:
+        redo |= _lemire(halves[:, :1], pack.count, removed[:b])
+        removed[:b] += np.uint64(1)
+    return redo
 
 
 def _in_zone(products: np.ndarray, bound: int) -> np.ndarray:
@@ -429,22 +474,14 @@ def _sample(
 def _sample_buffers(pack: SpherePack, hypothesis: Hypothesis, n: int, rows: int) -> tuple[np.ndarray, ...]:
     """Work arrays for _sample_batch calls of up to rows trials of n points, allocated after sample's checks.
 
-    They are the raw Philox outputs, the choices, the removed indices (the
-    alternate's index throughout), the Gaussians and the points, whose
+    They are _word_buffers' three, the Gaussians and the points, whose
     coordinates past d + 1 stay zero.  The size and hypothesis are refused,
     with sample's messages, before any array is allocated.
     """
     d = pack.intrinsic_dim
     _check_sample_size(n, d + 1 + pack.ambient_dim)
     _kept(pack, hypothesis)
-    lead = int(hypothesis.kind == "mixture")
-    return (
-        np.zeros((rows, (lead + n + 1) // 2), dtype="<u8"),
-        np.empty((rows, n), dtype="<u8"),
-        np.full((rows, 1), hypothesis.index or 0, dtype="<u8"),
-        np.empty((rows, n, d + 1)),
-        np.zeros((rows, n, pack.ambient_dim)),
-    )
+    return (*_word_buffers(hypothesis, n, rows), np.empty((rows, n, d + 1)), np.zeros((rows, n, pack.ambient_dim)))
 
 
 def _sample_batch(
@@ -457,34 +494,19 @@ def _sample_batch(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """sample for each seed: the (len(seeds), n, D) points and, but under the null, the 1-based removed indices.
 
-    A trial makes three calls: it re-keys rng (see _keyed), reads the raw
-    Philox outputs that its removed index and choices take, two 32-bit words
-    an output, low half first, and draws its Gaussians.  The 32-bit half an
-    odd word count leaves buffered is one standard_normal never reads, so
-    the Gaussians are the ones sample draws after its bounded draws.  The
-    rest is done once a batch: the raw-word map (_lemire) gives the choices
-    and a mixture's removed index, then come the labels, the norms and the
-    placement, with sample's arithmetic.  A trial with a word in a rejection
-    zone, or a Gaussian norm below _MIN_NORM, is drawn again by
-    _sample_reference, so every row holds the bytes sample gives its seed.
-    out, from _sample_buffers(pack, hypothesis, n, rows) with rows at least
-    len(seeds), is reused by the call and holds the arrays returned; when
-    None, arrays for this call are allocated.
+    One _draw_words call draws the batch's choices, removed indices and
+    Gaussians, three generator calls a trial; the labels, the norms and the
+    placement, with sample's arithmetic, are done once a batch.  A trial
+    _draw_words flags, or with a Gaussian norm below _MIN_NORM, is drawn
+    again by _sample_reference, so every row holds the bytes sample gives
+    its seed.  out, from _sample_buffers(pack, hypothesis, n, rows) with
+    rows at least len(seeds), is reused by the call and holds the arrays
+    returned; when None, arrays for this call are allocated.
     """
     b = len(seeds)
     words, chosen, removed, gauss, points = (a[:b] for a in out or _sample_buffers(pack, hypothesis, n, b))
-    d, kept = pack.intrinsic_dim, _kept(pack, hypothesis)
-    lead = int(hypothesis.kind == "mixture")
-    outputs = (lead + (n if kept > 1 else 0) + 1) // 2  # numpy draws no word on a range of one
-    for i, seed in enumerate(seeds):
-        rng = _keyed(seed, rng)
-        words[i, :outputs] = rng.bit_generator.random_raw(outputs)
-        rng.standard_normal(out=gauss[i])
-    halves = words.view("<u4")
-    redo = _lemire(halves[:, lead : lead + n], kept, chosen)
-    if lead:
-        redo |= _lemire(halves[:, :1], pack.count, removed)
-        removed += np.uint64(1)
+    d = pack.intrinsic_dim
+    redo = _draw_words(pack, hypothesis, n, seeds, rng, (words, chosen, removed), gauss)
     spheres = _sphere_labels(chosen.view("<i8"), None if hypothesis.kind == "null" else removed.view("<i8"))
     norms = np.linalg.norm(gauss, axis=-1)
     short = norms < _MIN_NORM
@@ -498,7 +520,7 @@ def _sample_batch(
     for i in np.flatnonzero(redo).tolist():
         drawn = _sample_reference(pack, hypothesis, n, seeds[i], rng)
         points[i] = drawn.points
-        if lead:
+        if hypothesis.kind == "mixture":
             removed[i] = drawn.realized_removed_index
     return points, None if hypothesis.kind == "null" else removed[:, 0]
 

@@ -8,21 +8,20 @@ exactly what a generator built from each seed would.  The two count tests
 read only the empty-sphere count, so a side draws each trial's sphere
 choices once, at the largest sample size it needs, and reads every size
 off that one draw: the first n choices of a longer draw are a draw of n.
-A count-test trial reads raw Philox words, and one vectorised Lemire map
-per block (geometry._lemire) turns them into the choices
-Generator.integers would make; a trial with a word numpy would reject is
-drawn through geometry._draw_kept instead.  That map and the word order
-are numpy internals, pinned by golden tests.  Rows of trials are tallied
-in blocks of at most _DRAW_BUFFER choices, and a side refuses more than
-_MAX_DRAWS choices, and an estimator side more than _MAX_POINTS points,
-before drawing any; an estimator sweep draws every row afresh, so it
-counts trials times the summed sizes.  The estimator draws each batch of
-at most _BATCH_POINTS points in one geometry._sample_batch call, into
-arrays allocated once a side, each trial the bytes geometry.sample gives
-its seed, and counts each batch's components in one call, one group a
-trial: from each circle's cyclic spacings, one sort a batch, on a pack
-of circles, and with the grouped component count on every other pack
-and for any trial the spacing count cannot certify.
+Count-test trials and estimator batches share one raw-word draw,
+geometry._draw_words: a block of count-test trials, of at most
+_DRAW_BUFFER choices, takes one call, and a trial longer than the block
+is drawn through geometry._draw_kept in block-wide pieces.  A side
+refuses more than _MAX_DRAWS choices, and an estimator side more than
+_MAX_POINTS points, before drawing any; an estimator sweep draws every
+row afresh, so it counts trials times the summed sizes.  The estimator
+draws each batch of at most _BATCH_POINTS points in one
+geometry._sample_batch call, into arrays allocated once a side, each
+trial the bytes geometry.sample gives its seed, and counts each batch's
+components in one call, one group a trial: from each circle's cyclic
+spacings, one sort a batch, on a pack of circles, and with the grouped
+component count on every other pack and for any trial the spacing count
+cannot certify.
 Measured risk here is always over the constructed pack pair of
 hypotheses, not a worst case over anything larger.
 """
@@ -231,67 +230,42 @@ def _count_rejections(
     hence decisions match full point synthesis bitwise.  Each trial draws
     once, at the largest size: on a keyed Philox stream the first n choices
     of a longer draw are a draw of n, so one draw is the trial at every
-    size.  A trial reads raw Philox outputs, each two 32-bit words, low half
-    first; a mixture's first word is its removed index, on range m.  One
-    vectorised Lemire map per block turns the words into choices, as
-    Generator.integers would; a trial with a word in a rejection zone is
-    drawn again through _draw_kept.  Rows of trials fill a block of at most
-    _DRAW_BUFFER choices, row i offset by i*kept, and one bincount per span
-    between consecutive sizes adds the span's hits to running per-trial
-    counts.  A trial longer than the block is drawn in block-wide pieces,
-    which continue its stream.  A deleted sphere is never drawn, so the
-    tally skips it and counts it as one more empty sphere.
+    size.  Rows of trials fill a block of at most _DRAW_BUFFER choices, drawn
+    by one geometry._draw_words call; a trial it flags is drawn again
+    through _draw_kept.  A trial longer than the block is drawn through
+    _draw_kept and then Generator.integers, in block-wide pieces that
+    continue its stream.  Row i is offset by i*kept, and one bincount per
+    span between consecutive sizes adds the span's hits to running
+    per-trial counts.  A deleted sphere is never drawn, so the tally skips
+    it and counts it as one more empty sphere.
     """
     m = pack.count
-    lead = int(hypothesis.kind == "mixture")
     kept = geometry._kept(pack, hypothesis)
     top = sizes[-1]
     # the cap bounds a block's draws, rows * width, and its per-trial hit counts, rows * kept
     rows = min(config.trials, max(1, _DRAW_BUFFER // max(top, kept, 1)))
     width = max(1, min(top, _DRAW_BUFFER))
-    raw = np.empty((rows, (lead + width + 3) // 2), dtype="<u8")  # one spare output for a carried half
-    words = raw.view("<u4")
-    choices, removed = np.empty((rows, width), dtype="<u8"), np.empty((rows, 1), dtype="<u8")
-    draws = choices.view("<i8")  # bincount copies a uint64 input
-    offsets = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(kept)
+    buffers = geometry._word_buffers(hypothesis, width, rows)
+    draws = buffers[1].view("<i8")  # bincount copies a uint64 input
+    offsets = np.arange(rows)[:, None] * kept
     seeds = _trial_seeds(config.master_seed, config.trials, stream)
     rejections = [0] * len(sizes)
-    rng = None
+    rng = geometry._keyed(0)  # one generator a side, re-keyed to each trial's seed
     for start in range(0, config.trials, rows):
         block = min(rows, config.trials - start)
         keys = list(itertools.islice(seeds, block))
         hits = np.zeros(block * kept, dtype=np.intp)
-        tallied = j = end = 0
-        reference = False  # a redrawn trial continues through Generator.integers
+        tallied = j = 0
         for first in range(0, max(top, 1), width):
             last = min(first + width, top)
             span = last - first
-            if reference:  # one trial per block from here on
+            if first:  # the one trial of the block goes on from its earlier pieces
                 draws[0, :span] = rng.integers(0, kept, size=span)
-            else:
-                # a piece's choices are words [at, end); a split trial goes on after any half-word its last piece left
-                at = lead if first == 0 else end % 2
-                if first and at:
-                    words[0, 1] = words[0, end]
-                end = at + span
-                outputs = (end + 1) // 2
-                if first == 0:
-                    for i, key in enumerate(keys):
-                        rng = geometry._keyed(key, rng)
-                        raw[i, :outputs] = rng.bit_generator.random_raw(outputs)
-                else:  # one trial per block; output 0 holds the carried half-word, if any
-                    raw[0, at:outputs] = rng.bit_generator.random_raw(outputs - at)
-                redraw = geometry._lemire(words[:block, at:end], kept, choices[:block, :span])
-                if first == 0 and lead:
-                    redraw |= geometry._lemire(words[:block, :1], m, removed[:block])
-                choices[:block, :span] += offsets[:block]
-                for i in np.flatnonzero(redraw).tolist():
-                    rng = geometry._keyed(keys[i], rng)
-                    piece, _ = geometry._draw_kept(pack, hypothesis, min(width, top), rng, low=i * kept)
-                    for replay in range(width, last, width):  # reach this piece of a split trial
-                        piece = rng.integers(0, kept, size=min(replay + width, top) - replay)
-                    draws[i, :span] = piece
-                    reference = True
+            else:  # a trial longer than the block, alone in it, is drawn through the reference whole
+                flagged = geometry._draw_words(pack, hypothesis, span, keys, rng, buffers) if top <= width else [True]
+                for i in np.flatnonzero(flagged).tolist():
+                    draws[i, :span], _ = geometry._draw_kept(pack, hypothesis, span, geometry._keyed(keys[i], rng))
+            draws[:block, :span] += offsets[:block]
             # tally up to each size in this piece, recording it, then up to the piece's end
             while tallied < last or (j < len(sizes) and sizes[j] == tallied):
                 stop = min(sizes[j], last)

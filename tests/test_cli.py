@@ -278,6 +278,20 @@ def test_monte_carlo_beyond_draw_limit_fails_fast(argv, tmp_path, monkeypatch, c
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_refuses_a_long_range_before_listing_it(tmp_path, monkeypatch, capsys):
+    # 2**40 + 1 sizes would take 8 TiB as a list; the sweep's draw check refuses the largest first
+    monkeypatch.chdir(tmp_path)
+    argv = (
+        "sweep --d 1 --D 2 --tau 0.25 --n-min 0 --n-max 1099511627776 --n-step 1 --trials 1 --seed 1 "
+        "--test lrt --delta 0.5 --out x.csv"
+    )
+    assert cli.main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "above the limit of 4294967296" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -132,18 +132,15 @@ def test_rekeyed_generator_draws_like_a_fresh_one(seeds, m, n):
 
 
 def test_philox_draws_extend_and_split_golden():
-    # The count path reads every sample size off one draw per trial, drawn in
-    # block-wide pieces with the row offset inside the bounded draw; these are
-    # the Generator.integers properties it relies on, pinned on this stream.
+    # The count path reads every sample size off one draw per trial, and draws
+    # a trial longer than its block through _draw_kept and then block-wide
+    # Generator.integers pieces: a shorter draw is a prefix of a longer one,
+    # and pieces continue one stream, after a mixture's removed index too.
     seed = trial_seed(2013, 3, 1)
     assert geometry._keyed(seed).integers(0, 64, size=8).tolist() == [30, 20, 12, 14, 26, 59, 8, 9]
     rng = geometry._keyed(seed)
     assert rng.integers(1, 65) == 31
     assert rng.integers(0, 63, size=8).tolist() == [19, 12, 14, 25, 58, 8, 9, 10]
-    shifted = {1: [5] * 6, 63: [344, 334, 327, 329, 340, 373], 64: [350, 340, 332, 334, 346, 379],
-               1023: [5599, 5436, 5313, 5353, 5533, 6067], 1024: [5605, 5441, 5318, 5358, 5538, 6073]}
-    for bins, values in shifted.items():
-        assert geometry._keyed(seed).integers(5 * bins, 6 * bins, size=6).tolist() == values
     for master, bins in itertools.product((0, 2013, 2**40 + 5), (1, 2, 63, 64, 1023, 1024, 5000)):
         key = trial_seed(master, bins, 0)
         whole = geometry._keyed(key).integers(0, bins, size=600)
@@ -155,11 +152,6 @@ def test_philox_draws_extend_and_split_golden():
                 assert rng.integers(1, bins + 2) == one.integers(1, bins + 2)
             split = np.concatenate([rng.integers(0, bins, size=311), rng.integers(0, bins, size=289)])
             assert np.array_equal(split, one.integers(0, bins, size=600))
-        for low in (0, 1, 7 * bins, 1023 * bins):
-            assert np.array_equal(
-                geometry._keyed(key).integers(low, low + bins, size=97),
-                low + geometry._keyed(key).integers(0, bins, size=97),
-            )
 
 
 def test_raw_words_and_map_golden():
@@ -397,8 +389,8 @@ def test_estimator_point_limit_refuses_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("flagged", ["every", "half"])
 def test_count_path_redraws_flagged_trials_through_the_reference(monkeypatch, flagged):
-    # a flagged trial is drawn again through _draw_kept, on a split trial from
-    # the flagged piece on; flagging words numpy accepted changes no count
+    # a flagged trial is drawn again through _draw_kept, and a split trial is
+    # drawn through it whole; flagging words numpy accepted changes no count
     coin = np.random.default_rng(0)
 
     def in_zone(products, bound):
@@ -435,6 +427,41 @@ def test_count_path_redraws_a_removed_index_in_the_rejection_zone():
         k_rejects = [e + side for e in empty]
         got = harness._count_rejections(config, pack, Hypothesis.mixture(), 1, sizes, k_rejects)
         assert got == [rejected] * len(sizes)
+
+
+@pytest.mark.parametrize("m", [64, 1024, 30036])
+@pytest.mark.parametrize("hyp", [Hypothesis.null(), Hypothesis.mixture()], ids=["null", "mixture"])
+def test_count_path_draws_trials_longer_than_the_block(m, hyp):
+    # at the shipped block a trial past 2**16 choices is drawn through _draw_kept and then
+    # Generator.integers pieces; m = 30036 still has empty spheres at 2**17 + 1 choices, so a piece
+    # that did not continue its trial's stream would move the count
+    assert harness._DRAW_BUFFER == 1 << 16
+    pack = build_pack(intrinsic_dim=1, ambient_dim=2, radius=1 / (4 * m - 2))
+    assert pack.count == m
+    sizes = [100, 1000, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1]
+    stream = int(hyp.kind == "mixture")
+    chosen = sample_assignments(pack, hyp, sizes[-1], trial_seed(2013, 0, stream))
+    empty = [m - len(np.unique(chosen[:n])) for n in sizes]
+    config = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=pack.radius, n=0, trials=1, master_seed=2013)
+    for side, rejected in ((-0.5, 1), (0.5, 0)):
+        got = harness._count_rejections(config, pack, hyp, stream, sizes, [e + side for e in empty])
+        assert got == [rejected] * len(sizes)
+
+
+def test_count_path_memory_on_trials_longer_than_the_block_is_bounded():
+    # a side of trials of 2**18 choices holds one block-wide piece at a time, about 1.3 MB; a word buffer
+    # sized by the trial takes it to about 2.1 MB, and a choice buffer sized by it adds 1.5 MB
+    pack = build_pack(**M64)
+    config = TrialConfig(**M64, n=2**18, trials=3, master_seed=1)
+    for hyp, stream in ((Hypothesis.null(), 0), (Hypothesis.mixture(), 1)):
+        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [0.0])  # first-call caches
+        tracemalloc.start()
+        try:
+            harness._count_rejections(config, pack, hyp, stream, [2**18], [0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_800_000, hyp
 
 
 def test_sample_complexity_refuses_past_the_draw_limit_summed_over_candidates(monkeypatch):
