@@ -452,15 +452,7 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
     output whatever else is running.  Refuses an n whose n * (d + 1 + D)
     floats exceed _MAX_PACK_FLOATS before drawing any.
     """
-    return _sample(pack, hypothesis, n, seed, None)
-
-
-def _sample(
-    pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int, rng: np.random.Generator | None
-) -> SampleSet:
-    """sample as a batch of one (see _sample_batch), drawn from rng re-keyed to seed (see _keyed), or from a
-    new generator when rng is None."""
-    points, removed = _sample_batch(pack, hypothesis, n, [seed], rng)
+    points, removed = _sample_batch(pack, hypothesis, n, [seed], None)
     points = points[0]
     points.flags.writeable = False
     return SampleSet(
@@ -471,41 +463,30 @@ def _sample(
     )
 
 
-def _sample_buffers(pack: SpherePack, hypothesis: Hypothesis, n: int, rows: int) -> tuple[np.ndarray, ...]:
-    """Work arrays for _sample_batch calls of up to rows trials of n points, allocated after sample's checks.
-
-    They are _word_buffers' three, the Gaussians and the points, whose
-    coordinates past d + 1 stay zero.  The size and hypothesis are refused,
-    with sample's messages, before any array is allocated.
-    """
-    d = pack.intrinsic_dim
-    _check_sample_size(n, d + 1 + pack.ambient_dim)
-    _kept(pack, hypothesis)
-    return (*_word_buffers(hypothesis, n, rows), np.empty((rows, n, d + 1)), np.zeros((rows, n, pack.ambient_dim)))
-
-
 def _sample_batch(
-    pack: SpherePack,
-    hypothesis: Hypothesis,
-    n: int,
-    seeds: Sequence[int],
-    rng: np.random.Generator | None,
-    out: tuple[np.ndarray, ...] | None = None,
+    pack: SpherePack, hypothesis: Hypothesis, n: int, seeds: Sequence[int], rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """sample for each seed: the (len(seeds), n, D) points and, but under the null, the 1-based removed indices.
 
-    One _draw_words call draws the batch's choices, removed indices and
+    Each trial draws from rng re-keyed to its seed (see _keyed), or from a
+    new generator when rng is None.  After sample's checks, with its
+    messages, each call allocates its own arrays: reusing them across an
+    estimator side's batches measured no faster, while the count path keeps
+    its _word_buffers a side, as allocating them per block measured slower
+    at m = 1024.  One _draw_words call draws the batch's choices, removed indices and
     Gaussians, three generator calls a trial; the labels, the norms and the
     placement, with sample's arithmetic, are done once a batch.  A trial
     _draw_words flags, or with a Gaussian norm below _MIN_NORM, is drawn
     again by _sample_reference, so every row holds the bytes sample gives
-    its seed.  out, from _sample_buffers(pack, hypothesis, n, rows) with
-    rows at least len(seeds), is reused by the call and holds the arrays
-    returned; when None, arrays for this call are allocated.
+    its seed.
     """
-    b = len(seeds)
-    words, chosen, removed, gauss, points = (a[:b] for a in out or _sample_buffers(pack, hypothesis, n, b))
     d = pack.intrinsic_dim
+    _check_sample_size(n, d + 1 + pack.ambient_dim)
+    _kept(pack, hypothesis)
+    b = len(seeds)
+    words, chosen, removed = _word_buffers(hypothesis, n, b)
+    gauss = np.empty((b, n, d + 1))
+    points = np.zeros((b, n, pack.ambient_dim))  # coordinates past d + 1 stay zero
     redo = _draw_words(pack, hypothesis, n, seeds, rng, (words, chosen, removed), gauss)
     spheres = _sphere_labels(chosen.view("<i8"), None if hypothesis.kind == "null" else removed.view("<i8"))
     norms = np.linalg.norm(gauss, axis=-1)

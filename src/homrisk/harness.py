@@ -2,26 +2,26 @@
 
 A trial batch runs the configured test on fresh draws under the full pack
 and under a random-deletion mixture, with one substream per (trial,
-side), so totals never depend on execution order.  A side hashes its
-trial seeds in blocks and re-keys one generator per trial, which draws
-exactly what a generator built from each seed would.  The two count tests
-read only the empty-sphere count, so a side draws each trial's sphere
-choices once, at the largest sample size it needs, and reads every size
-off that one draw: the first n choices of a longer draw are a draw of n.
+side), so totals never depend on execution order.  Both kinds of side
+run one loop over blocks of trials (_trial_blocks): it hashes the trial
+seeds in blocks and re-keys one generator per trial, which draws exactly
+what a generator built from each seed would.  The two count tests read
+only the empty-sphere count, so a side draws each trial's sphere choices
+once, at the largest sample size it needs, and reads every size off that
+one draw: the first n choices of a longer draw are a draw of n.
 Count-test trials and estimator batches share one raw-word draw,
 geometry._draw_words: a block of count-test trials, of at most
 _DRAW_BUFFER choices, takes one call, and a trial longer than the block
-is drawn through geometry._draw_kept in block-wide pieces.  A side
-refuses more than _MAX_DRAWS choices, and an estimator side more than
-_MAX_POINTS points, before drawing any; an estimator sweep draws every
-row afresh, so it counts trials times the summed sizes.  The estimator
-draws each batch of at most _BATCH_POINTS points in one
-geometry._sample_batch call, into arrays allocated once a side, each
-trial the bytes geometry.sample gives its seed, and counts each batch's
-components in one call, one group a trial: from each circle's cyclic
-spacings, one sort a batch, on a pack of circles, and with the grouped
-component count on every other pack and for any trial the spacing count
-cannot certify.
+is drawn through geometry._draw_kept in block-wide pieces, on a side that
+holds no word buffers.  A side refuses more than _MAX_DRAWS choices, and
+an estimator side more than _MAX_POINTS points, before drawing any; an
+estimator sweep draws every row afresh, so it counts trials times the
+summed sizes.  The estimator draws each batch of at most _BATCH_POINTS
+points in one geometry._sample_batch call, each trial the bytes
+geometry.sample gives its seed, and counts each batch's components in
+one call, one group a trial: from each circle's cyclic spacings, one sort
+a batch, on a pack of circles, and with the grouped component count on
+every other pack and for any trial the spacing count cannot certify.
 Measured risk here is always over the constructed pack pair of
 hypotheses, not a worst case over anything larger.
 """
@@ -170,11 +170,24 @@ def trial_seed(master_seed: int, trial_index: int, stream_code: int) -> int:
     return derive_seed(master_seed, trial_index, stream_code)
 
 
-def _trial_seeds(master_seed: int, trials: int, stream_code: int) -> Iterator[int]:
-    """trial_seed(master_seed, t, stream_code) for t = 0..trials-1, hashed in blocks."""
-    for start in range(0, trials, _SEED_BLOCK):
-        block = np.arange(start, min(start + _SEED_BLOCK, trials))
-        yield from geometry._derive_seeds(master_seed, block, stream_code).tolist()
+def _trial_blocks(
+    master_seed: int, trials: int, stream_code: int, rows: int
+) -> Iterator[tuple[list[int], np.random.Generator]]:
+    """The loop of a side's trials: trial_seed(master_seed, t, stream_code) for t = 0..trials-1 in blocks of
+    at most rows, each with the side's one generator, which the draws re-key to each trial's seed.
+
+    The seeds are hashed _SEED_BLOCK at a time, whatever rows is, which
+    bounds their memory; re-keying draws what a generator built from the
+    seed would (see geometry._keyed).
+    """
+    hashed = (
+        geometry._derive_seeds(master_seed, np.arange(start, min(start + _SEED_BLOCK, trials)), stream_code).tolist()
+        for start in range(0, trials, _SEED_BLOCK)
+    )
+    seeds = itertools.chain.from_iterable(hashed)
+    rng = geometry._keyed(0)
+    while block := list(itertools.islice(seeds, rows)):
+        yield block, rng
 
 
 def _increasing_sizes(n_values: Sequence[int], empty_message: str) -> Sequence[int]:
@@ -230,14 +243,15 @@ def _count_rejections(
     hence decisions match full point synthesis bitwise.  Each trial draws
     once, at the largest size: on a keyed Philox stream the first n choices
     of a longer draw are a draw of n, so one draw is the trial at every
-    size.  Rows of trials fill a block of at most _DRAW_BUFFER choices, drawn
-    by one geometry._draw_words call; a trial it flags is drawn again
-    through _draw_kept.  A trial longer than the block is drawn through
-    _draw_kept and then Generator.integers, in block-wide pieces that
-    continue its stream.  Row i is offset by i*kept, and one bincount per
-    span between consecutive sizes adds the span's hits to running
-    per-trial counts.  A deleted sphere is never drawn, so the tally skips
-    it and counts it as one more empty sphere.
+    size.  Rows of trials fill a block of at most _DRAW_BUFFER choices,
+    drawn by one geometry._draw_words call into word buffers allocated once
+    a side; a trial it flags is drawn again through _draw_kept.  A trial
+    longer than the block is drawn through _draw_kept and then
+    Generator.integers, in block-wide pieces that continue its stream, so
+    its side allocates no word buffers.  Row i is offset by i*kept, and one
+    bincount per span between consecutive sizes adds the span's hits to
+    running per-trial counts.  A deleted sphere is never drawn, so the
+    tally skips it and counts it as one more empty sphere.
     """
     m = pack.count
     kept = geometry._kept(pack, hypothesis)
@@ -245,32 +259,32 @@ def _count_rejections(
     # the cap bounds a block's draws, rows * width, and its per-trial hit counts, rows * kept
     rows = min(config.trials, max(1, _DRAW_BUFFER // max(top, kept, 1)))
     width = max(1, min(top, _DRAW_BUFFER))
-    buffers = geometry._word_buffers(hypothesis, width, rows)
-    draws = buffers[1].view("<i8")  # bincount copies a uint64 input
-    offsets = np.arange(rows)[:, None] * kept
-    seeds = _trial_seeds(config.master_seed, config.trials, stream)
+    if top <= width:  # a longer trial draws no raw words, so its side holds no word buffers
+        buffers = geometry._word_buffers(hypothesis, width, rows)
+        chosen = buffers[1].view("<i8")  # bincount copies a uint64 input
+        offsets = np.arange(rows)[:, None] * kept
     rejections = [0] * len(sizes)
-    rng = geometry._keyed(0)  # one generator a side, re-keyed to each trial's seed
-    for start in range(0, config.trials, rows):
-        block = min(rows, config.trials - start)
-        keys = list(itertools.islice(seeds, block))
+    for keys, rng in _trial_blocks(config.master_seed, config.trials, stream, rows):
+        block = len(keys)
         hits = np.zeros(block * kept, dtype=np.intp)
         tallied = j = 0
         for first in range(0, max(top, 1), width):
             last = min(first + width, top)
             span = last - first
             if first:  # the one trial of the block goes on from its earlier pieces
-                draws[0, :span] = rng.integers(0, kept, size=span)
-            else:  # a trial longer than the block, alone in it, is drawn through the reference whole
-                flagged = geometry._draw_words(pack, hypothesis, span, keys, rng, buffers) if top <= width else [True]
-                for i in np.flatnonzero(flagged).tolist():
-                    draws[i, :span], _ = geometry._draw_kept(pack, hypothesis, span, geometry._keyed(keys[i], rng))
-            draws[:block, :span] += offsets[:block]
+                draws = rng.integers(0, kept, size=(1, span))
+            elif top > width:  # a trial longer than the block, alone in it, is drawn through the reference whole
+                draws = geometry._draw_kept(pack, hypothesis, span, geometry._keyed(keys[0], rng))[0][None]
+            else:
+                draws = chosen[:block, :span]
+                for i in np.flatnonzero(geometry._draw_words(pack, hypothesis, span, keys, rng, buffers)).tolist():
+                    draws[i], _ = geometry._draw_kept(pack, hypothesis, span, geometry._keyed(keys[i], rng))
+                draws += offsets[:block]
             # tally up to each size in this piece, recording it, then up to the piece's end
             while tallied < last or (j < len(sizes) and sizes[j] == tallied):
                 stop = min(sizes[j], last)
                 if stop > tallied:
-                    hits += np.bincount(draws[:block, tallied - first : stop - first].ravel(), minlength=block * kept)
+                    hits += np.bincount(draws[:, tallied - first : stop - first].ravel(), minlength=block * kept)
                     tallied = stop
                 if tallied == sizes[j]:
                     empty = np.count_nonzero(hits.reshape(block, kept) == 0, axis=1) + (m - kept)
@@ -284,26 +298,21 @@ def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hyp
 
     Each batch of at most _BATCH_POINTS points, or one trial when n is
     larger, is drawn by one geometry._sample_batch call, each trial on its
-    own keyed stream, into arrays allocated once a side after sample's
-    checks, and takes one component count
-    (homology._estimator_counts), with homology_estimator's checks: from
+    own keyed stream, and takes one component count (see
+    homology._estimator_counts), with homology_estimator's checks: from
     cyclic spacings on a pack of circles, else grouped.  The edge rule
     reads two points only and no edge joins two trials, so each count is
-    the one homology_estimator gives its trial on the component-count
-    path.  A trial rejects, as lrt.test_from_estimator does, when its
-    count is below the sphere count.
+    the one homology_estimator gives its trial on the component-count path.
+    A trial rejects, as lrt.test_from_estimator does, when its count is
+    below the sphere count.
     """
     # The pack radius separates spheres while keeping within-sphere links;
     # callers may override anywhere in (0, 2*radius).
     scale = pack.radius if config.scale is None else float(config.scale)
     rows = min(config.trials, max(1, _BATCH_POINTS // max(n, 1)))
-    out = geometry._sample_buffers(pack, hypothesis, n, rows)  # one set a side, after sample's checks
-    seeds = _trial_seeds(config.master_seed, config.trials, stream)
-    rng = geometry._keyed(0)  # one generator a side, re-keyed to each trial's seed
     rejections = 0
-    for start in range(0, config.trials, rows):
-        block = list(itertools.islice(seeds, min(rows, config.trials - start)))
-        points, _ = geometry._sample_batch(pack, hypothesis, n, block, rng, out)
+    for keys, rng in _trial_blocks(config.master_seed, config.trials, stream, rows):
+        points, _ = geometry._sample_batch(pack, hypothesis, n, keys, rng)
         counts = homology._estimator_counts(pack, points, scale)
         rejections += int(np.count_nonzero(counts < pack.count))
     return rejections

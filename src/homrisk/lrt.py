@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,28 +133,24 @@ def t_mn(m: int, n: int) -> float:
     return likelihood_ratio_closed_form(m, n, 1)
 
 
-def _tails(k_threshold: float, null: np.ndarray, deleted: Callable[[], np.ndarray]) -> tuple[float, float]:
+def _tails(k_threshold: float, null: np.ndarray, deleted: np.ndarray | None) -> tuple[float, float]:
     """Type I and type II of the ratio test from its two laws, indexed by empty count.
 
     The test rejects when the integer empty count exceeds t = m(1-1/m)^n, so
     false rejection is the m-bin law null above floor(t).  Under a deletion
-    the empty count is 1 plus the (m-1)-bin one, so false acceptance is that
-    law below floor(t); deleted() is called only when floor(t) > 0.
+    the empty count is 1 plus the (m-1)-bin one, so false acceptance is the
+    law deleted below floor(t); it is read only when floor(t) > 0, and may
+    be None when floor(t) = 0.
     """
     cut = math.floor(k_threshold)
     type_i = float(null[cut + 1 :].sum())
-    type_ii = float(deleted()[:cut].sum()) if cut else 0.0
+    type_ii = float(deleted[:cut].sum()) if cut else 0.0
     return min(1.0, max(0.0, type_i)), min(1.0, max(0.0, type_ii))
 
 
 def exact_lrt_risk(m: int, n: int) -> ExactRiskReport:
     """Exact type I and II of the ratio test at (m, n): tails of the m- and (m-1)-bin empty-count laws."""
-    return _risk_and_null_law(m, n)[0]
-
-
-def _risk_and_null_law(m: int, n: int) -> tuple[ExactRiskReport, np.ndarray]:
-    """exact_lrt_risk(m, n) with the m-bin empty-count law its type I is summed from."""
-    return next(_risks_and_null_laws(m, (n,)))
+    return next(_risks_and_null_laws(m, (n,)))[0]
 
 
 def _takes_pair(m: int, n: int) -> bool:
@@ -168,7 +164,8 @@ def _takes_pair(m: int, n: int) -> bool:
 
 
 def _risks_and_null_laws(m: int, sizes: Iterable[int]) -> Iterator[tuple[ExactRiskReport, np.ndarray]]:
-    """_risk_and_null_law(m, n) for each n of the increasing sizes.
+    """exact_lrt_risk(m, n), with the m-bin empty-count law its type I is summed from, for each n of the
+    increasing sizes.
 
     Every n whose two laws both take the throw recurrence reads them from
     one stepper pair that never steps back, bit for bit the router's laws,
@@ -185,10 +182,10 @@ def _risks_and_null_laws(m: int, sizes: Iterable[int]) -> Iterator[tuple[ExactRi
             pair = pair or _recurrence(m, pair=True)
             laws = pair(n, deleted=True)
             null, deleted = (OccupancyDistribution(m - r, n, probs).probs for r, probs in enumerate(laws))
-            type_i, type_ii = _tails(k_threshold, null, lambda: deleted)
         else:
             null = empty_count_distribution(m, n).probs
-            type_i, type_ii = _tails(k_threshold, null, lambda: empty_count_distribution(m - 1, n).probs)
+            deleted = empty_count_distribution(m - 1, n).probs if math.floor(k_threshold) else None
+        type_i, type_ii = _tails(k_threshold, null, deleted)
         report = ExactRiskReport(
             m=m,
             n=n,
@@ -225,7 +222,7 @@ def _first_passing_size(m: int, epsilon: float, sizes: Iterable[int]) -> int | N
             null, deleted = laws(n, deleted=True)
         else:
             null, deleted = laws(n), None
-        type_i, type_ii = _tails(k_threshold, null, lambda: deleted)
+        type_i, type_ii = _tails(k_threshold, null, deleted)
         if type_i + type_ii <= limit and exact_lrt_risk(m, n).total <= epsilon:
             return n
     return None

@@ -405,12 +405,12 @@ def _all_occupied_probs(m: int, sizes: Iterable[int]) -> Iterator[float]:
 
     Every n the router sends to the recurrence (n >= m, as P(K = 0) is 0
     below m) is read off one stepper that never steps back, with the same
-    bits as a fresh one; every other n calls prob_all_occupied.
+    bits as a fresh one; every other n calls prob_all_occupied.  The
+    stepper allocates nothing until its first call.
     """
-    law = None
+    law = _recurrence(m)
     for n in sizes:
         if n >= m >= 1 and _route(m, n) == "recurrence":
-            law = law or _recurrence(m)
             yield float(law(n)[0])
         else:
             yield prob_all_occupied(m, n)

@@ -231,9 +231,9 @@ def test_sample_is_deterministic_per_seed():
     # one generator re-keyed to each seed in turn, as the estimator's trials draw, gives the same bytes
     rng = geometry._keyed(0)
     for seed, want in ((42, a), (43, c), (42, a)):
-        again = geometry._sample(pack, Hypothesis.mixture(), 250, seed, rng)
-        assert again.points.tobytes() == want.points.tobytes()
-        assert again.realized_removed_index == want.realized_removed_index
+        points, removed = geometry._sample_batch(pack, Hypothesis.mixture(), 250, [seed], rng)
+        assert points[0].tobytes() == want.points.tobytes()
+        assert int(removed[0]) == want.realized_removed_index
 
 
 SAMPLER_PACKS = [build_pack(1, 2, 1 / 16), build_pack(1, 3, 0.15), build_pack(2, 3, 1 / 8), build_pack(3, 4, 1 / 8)]
@@ -255,15 +255,15 @@ def test_batched_sampler_gives_the_reference_bytes(pack):
     # the m = 2 pack keeps one sphere under a deletion, where numpy draws no word for the choices
     seeds = [derive_seed(2013, t, 1) for t in range(7)]
     for hyp, n in itertools.product(sampler_hypotheses(pack), (0, 1, 2, 7, 200)):
-        out = geometry._sample_buffers(pack, hyp, n, 7)
-        rng = geometry._keyed(0)
-        for block in (seeds[:1], seeds, seeds[2:5]):  # batches of one and of odd sizes, on buffers reused
-            for buffers in (None, out):
-                points, removed = geometry._sample_batch(pack, hyp, n, block, rng, buffers)
+        for rng in (None, geometry._keyed(0)):  # new generators, or one re-keyed across the batches
+            for block in (seeds[:1], seeds, seeds[2:5]):  # batches of one and of odd sizes
+                points, removed = geometry._sample_batch(pack, hyp, n, block, rng)
                 assert points.shape == (len(block), n, pack.ambient_dim)
                 assert_reference_rows(pack, hyp, n, block, points, removed)
-        drawn = geometry._sample(pack, hyp, n, seeds[3], None)
-        assert drawn.points.tobytes() == geometry._sample_reference(pack, hyp, n, seeds[3], None).points.tobytes()
+        drawn = sample(pack, hyp, n, seeds[3])
+        want = geometry._sample_reference(pack, hyp, n, seeds[3], None)
+        assert drawn.points.tobytes() == want.points.tobytes()
+        assert drawn.realized_removed_index == want.realized_removed_index
 
 
 @pytest.mark.parametrize("cause", ["zone", "norm"])
@@ -313,6 +313,7 @@ def test_sampler_refuses_before_any_draw_or_allocation(monkeypatch):
     one = build_pack(1, 2, 0.3)
     four = build_pack(1, 2, 1 / 16)
     assert one.count == 1
+    keyed = geometry._keyed(0)  # a side's generator, made before the checks
     monkeypatch.setattr(geometry, "_MAX_PACK_FLOATS", 400)
     monkeypatch.setattr(geometry, "_keyed", refused)
     for name in ("zeros", "empty", "full"):
@@ -328,8 +329,9 @@ def test_sampler_refuses_before_any_draw_or_allocation(monkeypatch):
     for pack, hyp, n, message in cases:
         with pytest.raises(ValueError, match=message):
             sample(pack, hyp, n, seed=1)
-        with pytest.raises(ValueError, match=message):
-            geometry._sample_buffers(pack, hyp, n, 20)
+        for rng in (None, keyed):
+            with pytest.raises(ValueError, match=message):
+                geometry._sample_batch(pack, hyp, n, [1, 2, 3], rng)
 
 
 def test_raw_words_then_gaussians_golden():

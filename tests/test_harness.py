@@ -79,7 +79,8 @@ TRIAL_SEEDS = {
 def test_trial_seed_golden_values():
     for (master, t, stream), seed in TRIAL_SEEDS.items():
         assert trial_seed(master, t, stream) == seed
-        assert list(harness._trial_seeds(master, t + 1, stream))[t] == seed
+        blocks = harness._trial_blocks(master, t + 1, stream, 3)
+        assert [key for keys, _ in blocks for key in keys][t] == seed
 
 
 def test_trial_draw_golden_values():
@@ -94,10 +95,18 @@ def test_trial_draw_golden_values():
     assert (assign_points(pack, drawn.points[:8]) - 1).tolist() == mixed[:8].tolist()
 
 
-def test_trial_seeds_cross_hash_blocks():
+def test_trial_seeds_cross_hash_blocks(monkeypatch):
+    # 1029 trials in blocks of 10: the seeds are hashed 1024 and then 5 at a time, whatever the blocks,
+    # and every block comes with the side's one generator
+    hashed, derive = [], geometry._derive_seeds
+    monkeypatch.setattr(geometry, "_derive_seeds", lambda *args: hashed.append(len(args[1])) or derive(*args))
     master = -(2**40) - 3
     trials = harness._SEED_BLOCK + 5
-    assert list(harness._trial_seeds(master, trials, 1)) == [trial_seed(master, t, 1) for t in range(trials)]
+    blocks = list(harness._trial_blocks(master, trials, 1, 10))
+    assert [len(keys) for keys, _ in blocks] == [10] * (trials // 10) + [trials % 10]
+    assert [key for keys, _ in blocks for key in keys] == [trial_seed(master, t, 1) for t in range(trials)]
+    assert hashed == [harness._SEED_BLOCK, 5]
+    assert len({id(rng) for _, rng in blocks}) == 1
 
 
 # Seed parts as derive_seed reads them mod 2**64, with the one- and two-word
@@ -462,6 +471,26 @@ def test_count_path_memory_on_trials_longer_than_the_block_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 1_800_000, hyp
+
+
+def test_count_path_holds_no_word_buffers_for_trials_longer_than_the_block(monkeypatch):
+    # such a side draws through _draw_kept and Generator.integers alone: it traced 1.05 MB at m = 64 with
+    # 3 trials of 2**18 choices, and 1.31 MB while it still allocated the 256 KB raw-word buffer
+    def refused(*args, **kwargs):
+        raise AssertionError("allocated word buffers for trials that read no raw words")
+
+    monkeypatch.setattr(geometry, "_word_buffers", refused)
+    pack = build_pack(**M64)
+    config = TrialConfig(**M64, n=2**18, trials=3, master_seed=1)
+    for hyp, stream in ((Hypothesis.null(), 0), (Hypothesis.mixture(), 1)):
+        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [0.0])  # first-call caches
+        tracemalloc.start()
+        try:
+            harness._count_rejections(config, pack, hyp, stream, [2**16 + 1, 2**18], [0.0, 0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_200_000, hyp
 
 
 def test_sample_complexity_refuses_past_the_draw_limit_summed_over_candidates(monkeypatch):
@@ -935,9 +964,9 @@ def test_sweep_reads_recurrence_rows_from_one_stepper(monkeypatch):
     assert [lrt._takes_pair(m, n) for n in sizes] == [n <= 15000 for n in sizes]
     expected, misses = [], []
     for n in sizes:
-        report, null = lrt._risk_and_null_law(m, n)
+        report, null = next(lrt._risks_and_null_laws(m, [n]))
         router = occupancy.empty_count_distribution(m, n).probs
-        tails = lrt._tails(report.k_threshold, router, lambda: occupancy.empty_count_distribution(m - 1, n).probs)
+        tails = lrt._tails(report.k_threshold, router, occupancy.empty_count_distribution(m - 1, n).probs)
         assert (report.type_I, report.type_II) == tails and null.tobytes() == router.tobytes(), n
         expected.append((report.type_I.hex(), report.type_II.hex(), (1.0 - float(null[0])).hex()))
         misses.append((1.0 - prob_all_occupied(m, n)).hex())

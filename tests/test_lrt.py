@@ -186,7 +186,7 @@ def test_scan_screen_is_the_exact_risk_on_the_recurrence(m, n):
     null_law = occupancy._recurrence(m)
     null_law(n // 2)
     null, deleted = null_law(n), occupancy._recurrence(m - 1)(n)
-    screen = homrisk.lrt._tails(homrisk.lrt._k_threshold(m, n), null, lambda: deleted)
+    screen = homrisk.lrt._tails(homrisk.lrt._k_threshold(m, n), null, deleted)
     report = exact_lrt_risk(m, n)
     assert screen == (report.type_I, report.type_II)
 

@@ -129,7 +129,7 @@ def _assert_band_matches_full_recurrence(m, n, law, full, deleted, full_deleted)
     assert not np.any((got > 0.0) & (got < TINY)), (m, n)
     if m > 1:
         t = lrt._k_threshold(m, n)
-        assert lrt._tails(t, got, lambda: deleted(n)) == lrt._tails(t, ref, lambda: full_deleted(n)), (m, n)
+        assert lrt._tails(t, got, deleted(n)) == lrt._tails(t, ref, full_deleted(n)), (m, n)
 
 
 @pytest.mark.parametrize("m, n", [(2000, 10000), (1999, 10000), (5000, 20000), (64, 345), (513, 1850)])
