@@ -248,10 +248,11 @@ def _count_rejections(
     a side; a trial it flags is drawn again through _draw_kept.  A trial
     longer than the block is drawn through _draw_kept and then
     Generator.integers, in block-wide pieces that continue its stream, so
-    its side allocates no word buffers.  Row i is offset by i*kept, and one
-    bincount per span between consecutive sizes adds the span's hits to
-    running per-trial counts.  A deleted sphere is never drawn, so the
-    tally skips it and counts it as one more empty sphere.
+    its side allocates no word buffers and holds one piece at a time.  Row
+    i is offset by i*kept, and one bincount per span between consecutive
+    sizes adds the span's hits to running per-trial counts.  A deleted
+    sphere is never drawn, so the tally skips it and counts it as one more
+    empty sphere.
     """
     m = pack.count
     kept = geometry._kept(pack, hypothesis)
@@ -269,6 +270,7 @@ def _count_rejections(
         hits = np.zeros(block * kept, dtype=np.intp)
         tallied = j = 0
         for first in range(0, max(top, 1), width):
+            draws = None  # let the last piece go before the next is allocated
             last = min(first + width, top)
             span = last - first
             if first:  # the one trial of the block goes on from its earlier pieces

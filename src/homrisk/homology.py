@@ -28,11 +28,13 @@ candidates choose.  On a pack of circles the estimator's trials are
 counted from cyclic spacings instead: below the gap between circles no
 edge joins two circles, and on one circle the components are the
 neighbour pairs in angle order that fail the edge rule, or one when none
-does.  That takes one sort a batch, and a trial whose pairs or points
-come too close to a tie for the count to be certified falls back to the
-grouped count.  A pair is an edge when its squares, added in axis
-order, sum to at most the squared scale, so the edge set is the same on
-every numpy build, and every route counts the same components.
+does.  One angle argsort and one stable pass over the (trial, circle)
+groups order a batch; points of equal angle come in either order, which
+no certified count reads, and a trial whose pairs or points come too
+close to a tie for the count to be certified falls back to the grouped
+count.  A pair is an edge when its squares, added in axis order, sum to
+at most the squared scale, so the edge set is the same on every numpy
+build, and every route counts the same components.
 """
 from __future__ import annotations
 
@@ -687,8 +689,12 @@ def _circle_counts(pack: SpherePack, points: np.ndarray, scale: float) -> np.nda
     """_components(points, scale) for trials drawn on a pack of circles (d = 1), (trials, n, D) with
     n >= 1, counted from cyclic spacings; a trial whose count this cannot certify goes to _components.
 
-    Each point is labelled with its circle by assign_points' arithmetic, and one lexsort orders the
-    batch by trial, circle and angle about the circle's center.  Each cyclic neighbour pair of a
+    Each point is labelled with its circle by assign_points' arithmetic.  One argsort of the angles
+    about the circles' centers, then one stable argsort of the (trial, circle) keys in the least
+    unsigned type that holds trials * m (numpy radix-sorts 8- and 16-bit keys), order the batch by
+    trial, circle and angle.  Points of equal angle may come in either order: a certified count is
+    _components' whatever the order of equal keys, and every other trial goes to _components, so
+    the result does not depend on it.  Each cyclic neighbour pair of a
     (trial, circle) group is tested with the one edge rule.  On one circle the components are the
     runs between the pairs that fail it, so a group whose k pairs fail has max(k, 1) components
     (Stevens 1939; Fisher 1940), and a trial's count is the sum over its groups.  The count equals
@@ -721,7 +727,8 @@ def _spacing_counts(pack: SpherePack, points: np.ndarray, scale: float) -> tuple
     dx = flat[:, 0] - pack.centers[label, 0]
     dy = flat[:, 1] - pack.centers[0, 1]
     group = np.repeat(np.arange(trials) * m, n) + label
-    order = np.lexsort((np.arctan2(dy, dx), group))
+    order = np.argsort(np.arctan2(dy, dx))
+    order = order[np.argsort(group[order].astype(np.min_scalar_type(trials * m - 1)), kind="stable")]
     group = group[order]
     starts = np.flatnonzero(np.append(True, group[1:] != group[:-1]))
     after = np.arange(1, trials * n + 1)
@@ -746,7 +753,9 @@ def _spacing_counts(pack: SpherePack, points: np.ndarray, scale: float) -> tuple
     #    so both arcs between their angles exceed D - 4 eps.  As sin is 1-Lipschitz and 4 eps r <= mu s / 16,
     #    their projections lie more than (1 + 0.26 mu) s apart, they lie more than (1 + 0.13 mu) s apart,
     #    and their d2 exceeds s2;
-    # 5. points of two circles lie at least G - 2r - mu s / 8 >= (1 + 0.8 mu) s apart, so their d2 exceeds s2.
+    # 5. points of two circles lie at least G - 2r - mu s / 8 >= (1 + 0.8 mu) s apart, so their d2 exceeds s2;
+    # 6. none of this reads how equal keys are ordered (by 3 and 4 a failed pair's keys differ), so a
+    #    certified count is _components' for every order the two sorts may give ties.
     unsure = np.zeros(trials, dtype=bool)
     unsure[group[np.abs(d2 - s2) <= _CIRCLE_MARGIN * s2] // m] = True
     off = np.abs(dx * dx + dy * dy - r * r) > _CIRCLE_MARGIN * scale * r / 32.0

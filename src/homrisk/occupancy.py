@@ -7,8 +7,9 @@ surjection counts are the heads of one forward-difference table over
 the m + 1 powers i**n, built with about m**2/2 big-integer subtractions,
 and every probability is one correctly rounded division by m**n.  P(K = 0)
 alone skips the table: its surjection count is one alternating sum of m + 1
-products over the same powers, 12 ms at (256, 1500) against 42 ms for the
-law.  From the collection threshold n >= m log m up, the series terms fall off like a
+products over the same powers, so it costs the m + 1 powers and m + 1
+big-integer products, where the law adds the table's m**2/2 subtractions.
+From the collection threshold n >= m log m up, the series terms fall off like a
 Poisson tail of rate at most one, so a log-magnitude route with
 compensated summation loses at most a digit to cancellation; against
 a 60-digit reference its P(K = 0) is still off by 3.8e-12 at
@@ -17,10 +18,10 @@ lgamma log-factorials of magnitude about m log m.  Its leading term
 bounds each entry, so it sums only the entries that bound keeps above
 float underflow, 156 of 4096 at (4096, 36909), and each entry's series
 only up to term _SERIES_TERMS = 181, past which every term scales to
-exactly 0.0.  Its cost is an O(m) set-up, about 0.3 us a bin of lgamma
-log-factorials, plus about 45 us per entry summed: 8.9 ms for the law at
-(4096, 36909) and 1.4 ms for P(K = 0), 12 ms and 3.4 ms at (10000, 92104);
-it refuses more than _LOG_BINS bins.  Everything else (n
+exactly 0.0.  Its cost is an O(m) set-up, one lgamma log-factorial and one
+log a bin, plus at most _SERIES_TERMS + 1 = 182 series terms per entry
+summed: every entry the bound keeps for the law, one for P(K = 0); it
+refuses more than _LOG_BINS bins.  Everything else (n
 below m log m at large m, where cancellation exceeds float precision)
 runs a one-throw-at-a-time recurrence on the empty-bin count, which has
 only positive coefficients and so cannot cancel at all; it refuses

@@ -493,6 +493,22 @@ def test_count_path_holds_no_word_buffers_for_trials_longer_than_the_block(monke
         assert peak < 1_200_000, hyp
 
 
+def test_a_long_count_trial_holds_one_piece_at_a_time():
+    # each piece is let go before the next is drawn: 0.53 MB traced at m = 64 with 3 trials of 2**18
+    # choices, against 1.05 MB while the last piece stayed bound during the next one's allocation
+    pack = build_pack(**M64)
+    config = TrialConfig(**M64, n=2**18, trials=3, master_seed=1)
+    for hyp, stream in ((Hypothesis.null(), 0), (Hypothesis.mixture(), 1)):
+        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [0.0])  # first-call caches
+        tracemalloc.start()
+        try:
+            harness._count_rejections(config, pack, hyp, stream, [2**16 + 1, 2**18], [0.0, 0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800_000, hyp
+
+
 def test_sample_complexity_refuses_past_the_draw_limit_summed_over_candidates(monkeypatch):
     # each candidate alone stays under the limit; 10 * (0 + 1 + ... + 13) = 910 does too, and n = 14 passes it
     monkeypatch.setattr(harness, "_MAX_DRAWS", 1000)

@@ -873,6 +873,34 @@ def test_circle_counts_equal_the_grouped_count(dims, radius, n, trials, fraction
     assert homology._circle_counts(pack, pts, scale).tolist() == homology._components(pts, scale).tolist()
 
 
+SCALE_FRACTIONS = (1e-3, 0.05, 0.3, 0.7, 0.99)
+
+
+def test_spacing_counts_take_exact_angle_ties_in_either_order():
+    # every point twice: each pair of copies has one angle, which the two sorts may place either way
+    pack = build_pack(1, 2, 1 / 16)
+    once = np.stack([sample(pack, Hypothesis.mixture(), 40, seed).points for seed in range(6)])
+    pts = np.concatenate([once, once[:, ::-1]], axis=1)
+    for fraction in SCALE_FRACTIONS:
+        scale = fraction * 2 * pack.radius
+        want = homology._components(pts, scale).tolist()
+        assert want == homology._components(once, scale).tolist()
+        counts, unsure = homology._spacing_counts(pack, pts, scale)
+        assert not unsure.any() and counts.tolist() == want, fraction
+        assert homology._circle_counts(pack, pts, scale).tolist() == want
+
+
+@pytest.mark.parametrize("trials, key", [(3, np.uint8), (200, np.uint16), (1100, np.uint32)])
+def test_circle_counts_order_group_keys_of_every_width(trials, key):
+    # 5 points a trial on the 64 circles: trials * m group keys, past 2**16 in the last case
+    pack = build_pack(1, 2, 1 / 256)
+    assert np.min_scalar_type(trials * pack.count - 1) == key
+    pts = np.stack([sample(pack, Hypothesis.null(), 5, seed).points for seed in range(trials)])
+    for fraction in SCALE_FRACTIONS:
+        scale = fraction * 2 * pack.radius
+        assert homology._circle_counts(pack, pts, scale).tolist() == homology._components(pts, scale).tolist()
+
+
 def test_circle_counts_fall_back_where_they_cannot_certify(monkeypatch):
     fallbacks = []
     components = homology._components
