@@ -1,14 +1,18 @@
 """Point-cloud homology: neighborhood complexes, GF(2) Betti numbers, clusters.
 
 rips returns the scale-r neighborhood (clique) complex as a RipsComplex,
-its vertex count and its edge list.  It counts every level at once, by
-bitmask popcounts over the level below, and lists the levels only when
-they are read.
-betti collapses such a complex directly, with no check: edges dominated
-by a common neighbour are collapsed away (Boissonnat and Pritam 2020),
-which keeps every Betti number below the top, the small core's boundary
-ranks over the two-element field give those, and the top one follows from
-the simplex counts.  A hand-built complex is reduced whole.  Cliques blow
+its vertex count and its edge list.  It builds the closed-neighbourhood
+bitmasks once, in numpy from the edge array, counts every level from them,
+by popcounts over the level below, before it builds the edge tuples, and
+lists the levels only when they are read.
+betti collapses such a complex directly, with no check and on a copy of
+the same masks: edges dominated by a common neighbour are collapsed away
+(Boissonnat and Pritam 2020), the vertex that dominated the last one
+tried first, which keeps every Betti number below the top.  The small
+core gives those: the rank of its first boundary is its vertex count less
+its component count, from a hook-and-compress forest, and the higher
+ranks are taken over the two-element field; the top one follows from the
+simplex counts.  A hand-built complex is reduced whole.  Cliques blow
 up combinatorially, so the full route carries dimension and point
 budgets, and no level beyond the simplex budget is listed or walked.  The
 component count alone has a cheap route with no budget, vectorised
@@ -123,12 +127,24 @@ class RipsComplex:
     max_dim: int
 
     @cached_property
+    def _ends(self) -> np.ndarray:
+        """The edges as a (2, E) array; rips stores its own, so this builds only a hand-built complex's."""
+        return np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+
+    @cached_property
+    def _closed(self) -> list[int]:
+        """The closed neighbourhoods (see _closed_masks), built once and shared by counting, listing
+        and betti's collapse, which works on a copy."""
+        return _closed_masks(self.vertex_count, self._ends)
+
+    @cached_property
     def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return _clique_levels(self.vertex_count, self.edges, self.max_dim)[0]
+        levels = _clique_levels(self.vertex_count, self._ends, self._closed, self.max_dim)[0]
+        return (levels[0], self.edges, *levels[2:])  # the edges themselves, so they are not held twice
 
     @cached_property
     def simplex_counts(self) -> tuple[int, ...]:
-        return _clique_levels(self.vertex_count, self.edges, self.max_dim, listed=False)[1]
+        return _clique_levels(self.vertex_count, self._ends, self._closed, self.max_dim, listed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -288,11 +304,13 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
 
     A q-simplex is any (q+1)-subset of points with all pairwise distances
     at or below the scale, so the complex is the clique expansion of the
-    scale graph and is closed under faces by construction.  The result
-    carries the sorted edges and counts every level at once, by bitmask
-    popcounts over the level below; its simplices are listed only when
-    read.  betti collapses it without a check and without listing any of
-    its levels.
+    scale graph and is closed under faces by construction.  The closed
+    neighbourhoods are built once as bitmasks, from the sorted edge array,
+    and every level is counted from them, by popcounts over the level below,
+    before the edge tuples are built; a level that is only counted keeps no
+    mask.  The result carries the sorted edges with the masks and counts, so
+    its simplices, listed only when read, and betti, which collapses it
+    without a check and without listing any of its levels, rebuild neither.
 
     Args:
         points: array-like of shape (n, dim).
@@ -320,12 +338,31 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     n = pts.shape[0]
     if n > max_points:
         raise ValueError(f"{n} points exceed the complex budget of {max_points}")
-    first, second = _scale_edges(pts, scale)
-    _check_budget(1, first.size)
-    edges = tuple(zip(first.tolist(), second.tolist()))
-    complex_ = RipsComplex(n, edges, float(scale), int(max_dim))
-    complex_.simplex_counts  # counted now, so a complex beyond the simplex budget fails here
+    ends = _scale_edges(pts, scale)
+    _check_budget(1, ends.shape[1])
+    closed = _closed_masks(n, ends)
+    # every level counted before any edge tuple is built, so a complex beyond the simplex budget fails here
+    counts = _clique_levels(n, ends, closed, int(max_dim), listed=False)[1]
+    complex_ = RipsComplex(n, tuple(_pairs(ends)), float(scale), int(max_dim))
+    vars(complex_).update(_ends=ends, _closed=closed, simplex_counts=counts)  # kept, so nothing is rebuilt
     return complex_
+
+
+def _closed_masks(n: int, ends: np.ndarray) -> list[int]:
+    """Closed neighbourhoods N[i], vertex i and its neighbours, as int bitmasks, for the edges of the
+    (2, E) array ends: each edge sets one bit in each of two rows of n // 64 + 1 little-endian words,
+    in one vectorised pass a direction, and each row becomes one int."""
+    words = np.zeros((n, n // 64 + 1), dtype="<u8")
+    for rows, cols in ((np.arange(n), np.arange(n)), ends, ends[::-1]):
+        np.bitwise_or.at(words, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    raw, size = words.tobytes(), words.shape[1] * 8
+    return [int.from_bytes(raw[at : at + size], "little") for at in range(0, n * size, size)]
+
+
+def _pairs(ends: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The edges of the (2, E) array ends as int pairs, converted one block of columns at a time."""
+    for lo in range(0, ends.shape[1], _BLOCK_FLOATS // 8):
+        yield from zip(*ends[:, lo : lo + _BLOCK_FLOATS // 8].tolist())
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -337,41 +374,50 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _clique_levels(
-    n: int, edges: Sequence[tuple[int, int]], top: int, *, listed: bool = True
+    n: int, ends: np.ndarray, closed: Sequence[int], top: int, *, listed: bool = True
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[int, ...]]:
-    """Levels 0..top of the clique complex of n vertices and edges i < j in lexicographic order,
-    and their sizes; without listed, only levels 0 and 1 come back and the rest are only counted.
+    """Levels 0..top of the clique complex of n vertices, with the edges i < j of the (2, E) array
+    ends in lexicographic order and closed neighbourhoods closed (see _closed_masks), and their
+    sizes; without listed, no level comes back and every level is only counted.
 
     Each simplex s carries a bitmask, up[s0] & up[s1] & ..., of the
     vertices above it that neighbour all of its vertices, with up[i] the
-    neighbours above i.  It extends by each of those in increasing order
-    (Zomorodian 2010), so every level comes in lexicographic order, and the
-    popcounts of its masks add up to the size of the level above, known
-    before that level is listed.  A level that is listed, or walked for its
-    masks to count the level above, may hold at most _SIMPLEX_BUDGET
-    simplices.
+    neighbours above i, closed[i] with its bits up to i cleared.  It extends
+    by each of those in increasing order (Zomorodian 2010), so every level
+    comes in lexicographic order, and the popcounts of its masks add up to
+    the size of the level above.  That size is taken in one pass that keeps
+    no mask, before the masks of a level are listed, so a level that is
+    listed, or walked for its masks to count the level above, is refused
+    when it holds more than _SIMPLEX_BUDGET simplices before any of its
+    masks is kept; a level that is only counted keeps none.  Counting level
+    q costs an and and a popcount of at most n / 64 + 1 words for each
+    simplex of level q - 1, and listing or walking level q - 1 that pass again.
     """
-    levels = [tuple((i,) for i in range(n)), tuple(edges)]
-    counts = [n, len(edges)]
-    if top == 1:
-        return tuple(levels), tuple(counts)
-    up = [0] * n
-    for i, j in edges:
-        up[i] |= 1 << j
-    masks = [up[i] & up[j] for i, j in edges]
+    levels = [tuple((i,) for i in range(n)), tuple(_pairs(ends))] if listed else []
+    counts = [n, ends.shape[1]]
+    up = [mask >> i + 1 << i + 1 for i, mask in enumerate(closed)]
+    lower: list[int] | None = None  # the kept masks of level q - 2; level 1's come from the edges
+
+    def masks() -> Iterator[int]:  # the masks of level q - 1, in one pass
+        if lower is None:
+            return (up[i] & up[j] for i, j in _pairs(ends))
+        return (mask & up[v] for mask in lower for v in _bits(mask))
+
     for q in range(2, top + 1):
-        counts.append(sum(mask.bit_count() for mask in masks))
-        if listed or q < top:
-            _check_budget(q, counts[q])
+        counts.append(sum(mask.bit_count() for mask in masks()))
+        if not (listed or q < top):
+            break
+        _check_budget(q, counts[q])
+        kept = list(masks())
         if listed:
-            levels.append(tuple(s + (v,) for s, mask in zip(levels[-1], masks) for v in _bits(mask)))
-        if q < top:
-            masks = [mask & up[v] for mask in masks for v in _bits(mask)]
+            levels.append(tuple(s + (v,) for s, mask in zip(levels[-1], kept) for v in _bits(mask)))
+        lower = kept
     return tuple(levels), tuple(counts)
 
 
-def _collapse_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The edges left when no remaining edge is dominated, in their given order.
+def _collapse_edges(n: int, edges: Sequence[tuple[int, int]], closed: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges left when no remaining edge is dominated, in their given order, for the closed
+    neighbourhoods closed of the n vertices (see _closed_masks), which it reads and leaves as they are.
 
     An edge uv is dominated by a vertex w other than u and v when
     N[u] & N[v] is a subset of N[w], for closed neighbourhoods N held as
@@ -379,28 +425,34 @@ def _collapse_edges(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
     collapse of the clique complex (Boissonnat and Pritam, "Edge collapse
     and persistence of flag complexes", SoCG 2020), so its homotopy type
     stays.  Each test reads the neighbourhoods left by every removal before
-    it, and passes over the edges repeat until one removes nothing.  A
-    dominating vertex neighbours every vertex of N[u] & N[v], so each refuted
-    w narrows the search to its own neighbours.
+    it, on a copy of closed, and passes over the edges repeat until one
+    removes nothing.  Domination is existential, so the order in which the
+    candidates w are tried changes no removal: the vertex that dominated the
+    last removed edge is tried first, and neighbouring edges often share
+    it.  Otherwise a dominating vertex neighbours every vertex of
+    N[u] & N[v], so each refuted w narrows the search to its own neighbours.
+    Each w tried costs an and, a compare and a mask update of n / 64 + 1 words.
     """
-    nbr = [1 << i for i in range(n)]
-    for i, j in edges:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
+    nbr = list(closed)
+    bit = [1 << i for i in range(n)]
+    last = 0  # the last dominating vertex
     while True:
         kept = []
         for u, v in edges:
             common = nbr[u] & nbr[v]
-            others = common ^ (1 << u) ^ (1 << v)
-            while others:
-                w = others.bit_length() - 1
-                if common & nbr[w] == common:
-                    nbr[u] ^= 1 << v
-                    nbr[v] ^= 1 << u
-                    break
-                others &= nbr[w] ^ (1 << w)
-            else:
-                kept.append((u, v))
+            if last == u or last == v or common & nbr[last] != common:
+                others = common ^ bit[u] ^ bit[v]
+                while others:
+                    w = others.bit_length() - 1
+                    if common & nbr[w] == common:
+                        last = w
+                        break
+                    others &= nbr[w] ^ bit[w]
+                else:
+                    kept.append((u, v))
+                    continue
+            nbr[u] ^= bit[v]
+            nbr[v] ^= bit[u]
         if len(kept) == len(edges):
             return kept
         edges = kept
@@ -447,11 +499,14 @@ def betti(complex_: SimplicialComplex | RipsComplex) -> BettiProfile:
 
     beta_q = (#q-simplices) - rank(boundary_q) - rank(boundary_{q+1}),
     with the boundary below dimension zero and above the top dimension
-    both zero.  A RipsComplex, which rips returns, is collapsed directly, with no
-    check and none of its levels listed: dominated edges are collapsed away
-    (Boissonnat and Pritam 2020), which keeps the homotopy type of the
-    clique complex and so every beta_q below the top, and the core's clique
-    levels up to max_dim are reduced.  The ranks of the complex itself then
+    both zero.  A RipsComplex, which rips returns, is collapsed directly,
+    with no check and none of its levels listed: dominated edges are
+    collapsed away (Boissonnat and Pritam 2020; see _collapse_edges), which
+    keeps the homotopy type of the clique complex and so every beta_q below
+    the top.  The core's rank of boundary_1 is its vertex count less its
+    component count, the roots of a hook-and-compress forest over its edges
+    (see _hook), and its clique levels up to max_dim give the higher ranks.
+    The ranks of the complex itself then
     follow from its simplex counts c_q: r_1 = c_0 - beta_0,
     r_{q+1} = c_q - r_q - beta_q, and the top entry is c_top - r_top.  A
     hand-built SimplicialComplex is reduced whole.  The Euler characteristic is the
@@ -467,12 +522,16 @@ def betti(complex_: SimplicialComplex | RipsComplex) -> BettiProfile:
     top = complex_.max_dim
     if isinstance(complex_, RipsComplex):
         n = complex_.vertex_count
-        core = _clique_levels(n, _collapse_edges(n, complex_.edges), top)[0]
+        collapsed = RipsComplex(n, tuple(_collapse_edges(n, complex_.edges, complex_._closed)), complex_.scale, top)
+        core = collapsed.simplices
+        forest = np.arange(n)
+        _hook(forest, *collapsed._ends, forest)
+        ranks = [0, n - int(np.count_nonzero(forest == np.arange(n))), *map(_boundary_rank, core[1:], core[2:])]
     else:
         core = complex_.simplices
         if len(core) != top + 1:
             raise ValueError(f"complex lists {len(core)} levels of simplices, not max_dim + 1 = {top + 1}")
-    ranks = [0, *map(_boundary_rank, core, core[1:])]
+        ranks = [0, *map(_boundary_rank, core, core[1:])]
     bettis, rank = [], 0
     for q in range(top):
         bettis.append(len(core[q]) - ranks[q] - ranks[q + 1])

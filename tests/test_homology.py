@@ -174,17 +174,21 @@ def test_betti_reduces_the_collapsed_core(monkeypatch):
     cx = rips(null_cloud_400(), 1 / 8, 2)
     assert cx.simplex_counts[2] == 24453
     assert betti(cx).betti == (4, 0, 19960)
-    assert len(handed) == 2 and handed[1] < 24453 // 10
+    # boundary_1's rank comes from the core's forest, so only boundary_2 is reduced, on the core's few triangles
+    assert len(handed) == 1 and handed[0] < 24453 // 10
 
 
 def test_collapse_keeps_the_edges_of_the_unpruned_search():
     rng = np.random.default_rng(43)
-    clouds = [null_cloud_400(), circle_points(40), grid(2, 6), grid(3, 4)]
+    # the README's m = 4 circles at scale 1/16 is the homology command's case, where the dominator hint pays most
+    circles = sample(build_pack(1, 2, 1 / 16), Hypothesis.null(), 400, 3).points
+    clouds = [null_cloud_400(), circles, circle_points(40), grid(2, 6), grid(3, 4)]
     clouds += [rng.uniform(size=(150, dims)) for dims in (2, 3)]
-    for pts, scale in zip(clouds, (1 / 8, 0.2, 0.36, 0.45, 0.2, 0.35)):
+    for pts, scale in zip(clouds, (1 / 8, 1 / 16, 0.2, 0.36, 0.45, 0.2, 0.35)):
         complex_ = rips(pts, scale, 2)
         n = complex_.vertex_count
-        assert homology._collapse_edges(n, complex_.edges) == oracles.collapse_edges_unpruned(n, complex_.edges)
+        kept = homology._collapse_edges(n, complex_.edges, complex_._closed)
+        assert kept == oracles.collapse_edges_unpruned(n, complex_.edges)
 
 
 def vertices(n):
@@ -194,8 +198,8 @@ def vertices(n):
 def test_betti_never_lists_the_complex_it_reads(monkeypatch):
     largest = []  # the largest level of each listing
 
-    def recording_levels(n, edges, top, listed=True):
-        levels, counts = _clique_levels(n, edges, top, listed=listed)
+    def recording_levels(n, edges, closed, top, listed=True):
+        levels, counts = _clique_levels(n, edges, closed, top, listed=listed)
         if listed:
             largest.append(max(map(len, levels)))
         return levels, counts
@@ -214,7 +218,9 @@ def test_betti_never_lists_the_complex_it_reads(monkeypatch):
 def test_rips_and_hand_built_complexes_agree_with_the_oracle(monkeypatch):
     collapses = []
     collapse = homology._collapse_edges
-    monkeypatch.setattr(homology, "_collapse_edges", lambda n, edges: collapses.append(n) or collapse(n, edges))
+    monkeypatch.setattr(
+        homology, "_collapse_edges", lambda n, edges, closed: collapses.append(n) or collapse(n, edges, closed)
+    )
     rng = np.random.default_rng(43)
     for _ in range(90):
         pts = rng.uniform(size=(int(rng.integers(1, 12)), int(rng.integers(1, 4))))
@@ -231,15 +237,19 @@ def test_rips_and_hand_built_complexes_agree_with_the_oracle(monkeypatch):
         assert betti(hand) == from_edges
         assert len(collapses) == before  # a hand-built complex is reduced whole
         assert from_edges.betti == oracles.betti_numbers(levels), (pts.tolist(), scale, max_dim)
-    assert len(collapses) == 90
+        # a RipsComplex built by hand derives its neighbourhoods from its edges, and reads as rips' own
+        by_hand = homology.RipsComplex(cx.vertex_count, cx.edges, cx.scale, cx.max_dim)
+        assert by_hand.simplex_counts == cx.simplex_counts and by_hand.simplices == cx.simplices
+        assert betti(by_hand) == from_edges
+    assert len(collapses) == 2 * 90  # rips' complex and the one built by hand
 
 
 def test_repr_and_eq_of_a_rips_complex_list_no_level(monkeypatch):
     listings = []  # the listed flag of each call
 
-    def recording_levels(n, edges, top, listed=True):
+    def recording_levels(n, edges, closed, top, listed=True):
         listings.append(listed)
-        return _clique_levels(n, edges, top, listed=listed)
+        return _clique_levels(n, edges, closed, top, listed=listed)
 
     monkeypatch.setattr(homology, "_clique_levels", recording_levels)
     pts = np.random.default_rng(0).uniform(0, 0.01, (200, 2))
@@ -296,6 +306,20 @@ def test_rips_refuses_a_dense_complex_at_once(n, max_dim, message):
     with pytest.raises(ValueError, match=message):
         rips(pts, 1.0, max_dim)
     assert time.perf_counter() - start < 1.0
+
+
+def test_rips_refuses_a_dense_complex_before_building_its_edges():
+    # 979 300 edges, within the budget, counted to C(1400, 3) triangles from the neighbourhood masks
+    # before any edge tuple or mask list is built; built first, they put the traced peak at 346 MB
+    pts = dense_square(1400)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="level 2 holds 456353800 simplices, above the simplex budget of 1000000"):
+            rips(pts, 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000_000
 
 
 def test_the_simplex_budget_binds_levels_that_are_listed_or_walked(monkeypatch):
@@ -355,6 +379,8 @@ def test_betti_of_hand_built_complexes(complex_, want):
         ((vertices(4), ((0, 1), (0, 2), (0, 3), (1, 2)), ((0, 1, 3),)), (0, 1, 3), (1, 3)),
         # vertex 7 of 4: its pairs, keyed i * 4 + j, would alias the edges (1, 3) and (2, 3)
         ((vertices(4), ((0, 1), (0, 3), (1, 3), (2, 3)), ((0, 1, 7),)), (0, 1, 7), (1, 7)),
+        # an edge on a vertex that level 0 lacks
+        ((vertices(3), ((0, 1), (1, 5)), ()), (1, 5), (5,)),
     ],
 )
 def test_betti_rejects_a_complex_missing_a_face(levels, simplex, face):
