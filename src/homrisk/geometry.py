@@ -407,12 +407,11 @@ def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Gener
 
     Counter 0, key [seed mod 2**64, 0] and an empty buffer are the state a
     fresh Philox(key=seed) starts in, so a re-keyed generator draws what
-    a new one would.  Re-keying takes about 1 us, a new generator about
-    20 us; a count-test trial costs about 5 us at m = 64, n = 311, re-key
-    and raw draw included, and drawing an estimator trial of 200 points on
-    the m = 4 pack of circles 14 to 16 us in a batch of 20, about 8 of
-    them in its three generator calls, where one trial at a time took 36
-    to 38 us (2-core host, numpy 2.4).
+    a new one would.  Re-keying sets one state and allocates nothing, where
+    a new generator builds a bit generator and a Generator around it.  So
+    a count-test trial costs one re-key and one random_raw call of about
+    n / 2 words, and an estimator trial in a batch one re-key and its
+    random_raw and standard_normal calls.
     """
     if rng is None:
         return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))

@@ -8,13 +8,19 @@ seeds in blocks and re-keys one generator per trial, which draws exactly
 what a generator built from each seed would.  The two count tests read
 only the empty-sphere count, so a side draws each trial's sphere choices
 once, at the largest sample size it needs, and reads every size off that
-one draw: the first n choices of a longer draw are a draw of n.
+one draw: the first n choices of a longer draw are a draw of n.  The
+sizes it needs end at the last one whose threshold the empty count's
+range after n draws, [m - min(n, kept), m - min(n, 1)], leaves open; a
+threshold outside the range answers its size as every trial or none
+without a draw, so from the collection threshold on, where the ratio
+test's t < 1, a mixture side draws nothing.
 Count-test trials and estimator batches share one raw-word draw,
 geometry._draw_words: a block of count-test trials, of at most
 _DRAW_BUFFER choices, takes one call, and a trial longer than the block
 is drawn through geometry._draw_kept in block-wide pieces, on a side that
 holds no word buffers.  A side refuses more than _MAX_DRAWS choices, and
-an estimator side more than _MAX_POINTS points, before drawing any; an
+an estimator side more than _MAX_POINTS points, before drawing any,
+counted at the sizes asked for, whatever the range then spares; an
 estimator sweep draws every row afresh, so it counts trials times the
 summed sizes.  The estimator draws each batch of at most _BATCH_POINTS
 points in one geometry._sample_batch call, each trial the bytes
@@ -253,9 +259,24 @@ def _count_rejections(
     sizes adds the span's hits to running per-trial counts.  A deleted
     sphere is never drawn, so the tally skips it and counts it as one more
     empty sphere.
+
+    After n draws a trial's empty count lies in [m - min(n, kept),
+    m - min(n, 1)]: n >= 1 draws fill at least one sphere and at most n.
+    A threshold below that range rejects every trial, and one at or above
+    its top none, so trials are drawn only up to the last size the range
+    leaves open, and each later size is answered as trials or 0 without a
+    draw; a side that leaves no size open draws nothing and hashes no seed.
+    The draw limit is not relaxed by this: callers check sizes, as asked,
+    with _check_draws before the side runs.
     """
     m = pack.count
     kept = geometry._kept(pack, hypothesis)
+    answers = [config.trials if m - min(n, kept) > k else 0 for n, k in zip(sizes, k_rejects)]
+    left_open = [j for j, (n, k) in enumerate(zip(sizes, k_rejects)) if m - min(n, kept) <= k < m - min(n, 1)]
+    if not left_open:
+        return answers
+    drawn = left_open[-1] + 1
+    sizes = sizes[:drawn]
     top = sizes[-1]
     # the cap bounds a block's draws, rows * width, and its per-trial hit counts, rows * kept
     rows = min(config.trials, max(1, _DRAW_BUFFER // max(top, kept, 1)))
@@ -264,7 +285,7 @@ def _count_rejections(
         buffers = geometry._word_buffers(hypothesis, width, rows)
         chosen = buffers[1].view("<i8")  # bincount copies a uint64 input
         offsets = np.arange(rows)[:, None] * kept
-    rejections = [0] * len(sizes)
+    rejections = [0] * drawn + answers[drawn:]
     for keys, rng in _trial_blocks(config.master_seed, config.trials, stream, rows):
         block = len(keys)
         hits = np.zeros(block * kept, dtype=np.intp)
@@ -370,9 +391,12 @@ def mc_risk(config: TrialConfig) -> RiskEstimate:
     Exact companions are attached for the likelihood-ratio test, where
     the occupancy law gives them in closed form; its trials reject on the
     empty-count threshold the exact risk sums over.  The count tests tally
-    each trial's sphere choices in blocks of at most _DRAW_BUFFER; a side
-    of more than _MAX_DRAWS choices, or an estimator side of more than
-    _MAX_POINTS points, is refused before any draw.
+    each trial's sphere choices in blocks of at most _DRAW_BUFFER, and a
+    side whose threshold lies outside the empty count's range after n
+    draws answers without a draw: past the collection threshold every
+    mixture trial rejects.  A side of more than _MAX_DRAWS choices at n, or
+    an estimator side of more than _MAX_POINTS points, is refused before
+    any draw, whether or not the range then spares it.
     """
     _check_draws(config, config.n)
     pack = _build(config)
@@ -387,8 +411,10 @@ def sweep_n(config: TrialConfig, n_values: Sequence[int]) -> tuple[SweepRow, ...
     Substreams depend only on (master seed, trial, side), so rows share
     random numbers across sample sizes; that common-draw coupling lowers
     the variance of fitted slopes.  For the count tests the rows are one
-    draw per trial, made at the largest size and read at every size, so
-    each row equals mc_risk at its size.  The estimator draws every sphere
+    draw per trial, made at the last size whose threshold the empty count's
+    range leaves open and read at every size up to it, with the rows after
+    it answered without a draw, so each row equals mc_risk at its size; the
+    draw limit still counts the largest size.  The estimator draws every sphere
     choice before any Gaussian, so a longer sample does not extend a
     shorter one, and it draws each row afresh.  A side that would draw
     more than _MAX_DRAWS sphere choices, trials times the largest size for
@@ -449,7 +475,9 @@ def sample_complexity(config: TrialConfig, epsilon: float, n_values: Sequence[in
     upper confidence bound, so a noisy dip cannot satisfy the target, and
     refuse the candidate that would take a side's sphere choices, summed
     over the candidates so far, past _MAX_DRAWS, or an estimator side's
-    points past _MAX_POINTS, before drawing it.  The
+    points past _MAX_POINTS, before drawing it; the sum counts every
+    candidate in full, though a count-test side whose threshold the empty
+    count's range decides draws nothing, as in mc_risk.  The
     likelihood-ratio test answers exactly: see lrt._first_passing_size.
     """
     if not 0.0 < epsilon <= 1.0:

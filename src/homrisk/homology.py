@@ -139,12 +139,11 @@ class RipsComplex:
 
     @cached_property
     def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        levels = _clique_levels(self.vertex_count, self._ends, self._closed, self.max_dim)[0]
-        return (levels[0], self.edges, *levels[2:])  # the edges themselves, so they are not held twice
+        return _clique_levels(self.vertex_count, self._ends, self._closed, self.max_dim, edges=self.edges)[0]
 
     @cached_property
     def simplex_counts(self) -> tuple[int, ...]:
-        return _clique_levels(self.vertex_count, self._ends, self._closed, self.max_dim, listed=False)[1]
+        return _clique_levels(self.vertex_count, self._ends, self._closed, self.max_dim)[1]
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def rips(points, scale: float, max_dim: int, *, max_points: int = DEFAULT_POINT_
     _check_budget(1, ends.shape[1])
     closed = _closed_masks(n, ends)
     # every level counted before any edge tuple is built, so a complex beyond the simplex budget fails here
-    counts = _clique_levels(n, ends, closed, int(max_dim), listed=False)[1]
+    counts = _clique_levels(n, ends, closed, int(max_dim))[1]
     complex_ = RipsComplex(n, tuple(_pairs(ends)), float(scale), int(max_dim))
     vars(complex_).update(_ends=ends, _closed=closed, simplex_counts=counts)  # kept, so nothing is rebuilt
     return complex_
@@ -374,11 +373,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _clique_levels(
-    n: int, ends: np.ndarray, closed: Sequence[int], top: int, *, listed: bool = True
+    n: int, ends: np.ndarray, closed: Sequence[int], top: int, *, edges: Sequence[tuple[int, int]] | None = None
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[int, ...]]:
     """Levels 0..top of the clique complex of n vertices, with the edges i < j of the (2, E) array
     ends in lexicographic order and closed neighbourhoods closed (see _closed_masks), and their
-    sizes; without listed, no level comes back and every level is only counted.
+    sizes.  The levels are listed only when given edges, the same edges as int pairs, which stand
+    as level 1 themselves, so a listing never holds them twice; without them, no level comes back
+    and every level is only counted.
 
     Each simplex s carries a bitmask, up[s0] & up[s1] & ..., of the
     vertices above it that neighbour all of its vertices, with up[i] the
@@ -393,7 +394,8 @@ def _clique_levels(
     q costs an and and a popcount of at most n / 64 + 1 words for each
     simplex of level q - 1, and listing or walking level q - 1 that pass again.
     """
-    levels = [tuple((i,) for i in range(n)), tuple(_pairs(ends))] if listed else []
+    listed = edges is not None
+    levels = [tuple((i,) for i in range(n)), edges] if listed else []
     counts = [n, ends.shape[1]]
     up = [mask >> i + 1 << i + 1 for i, mask in enumerate(closed)]
     lower: list[int] | None = None  # the kept masks of level q - 2; level 1's come from the edges

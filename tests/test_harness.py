@@ -317,6 +317,135 @@ def test_count_sides_refuse_a_one_sphere_mixture():
             sweep_n(config, [0, 3])
 
 
+def refuse_draws(patch):
+    """Patch every generator call and seed hash a count side could make to raise."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("drew, or hashed a seed, on a side the empty-count range decides")
+
+    for name in ("_keyed", "_draw_kept", "_word_buffers", "_derive_seeds"):
+        patch.setattr(geometry, name, refused)
+
+
+def test_a_side_the_empty_count_range_decides_draws_nothing(monkeypatch):
+    # at (64, 311) the ratio test rejects on K > t = 0.478, and the occupancy test on K > 0; a deletion
+    # leaves its sphere empty, so every mixture trial rejects without a draw, and both estimates are the
+    # ones drawing every mixture trial gave
+    count = harness._count_rejections
+    answered = []
+
+    def mixture_undrawn(config, pack, hypothesis, *args):
+        if hypothesis.kind == "null":
+            return count(config, pack, hypothesis, *args)
+        with pytest.MonkeyPatch.context() as patch:
+            refuse_draws(patch)
+            answered.append(count(config, pack, hypothesis, *args))
+        return answered[-1]
+
+    monkeypatch.setattr(harness, "_count_rejections", mixture_undrawn)
+    golden = dict(type_I_hat=0.3922, type_II_hat=0.0, risk_hat=0.3922, stderr=0.006904768786860281, trials=5000)
+    for test_kind, exact in (("lrt", (0.38634043310018606, 0.0)), ("occupancy", (None, None))):
+        est = mc_risk(TrialConfig(**M64, n=311, trials=5000, master_seed=1, test_kind=test_kind))
+        assert est == harness.RiskEstimate(**golden, exact_type_I=exact[0], exact_type_II=exact[1]), test_kind
+    assert answered == [[5000], [5000]]
+    # a one-sphere pack's null side is decided too, and its mixture is refused before any draw
+    refuse_draws(monkeypatch)
+    one = dict(intrinsic_dim=1, ambient_dim=2, radius=0.2)
+    for test_kind in ("lrt", "occupancy"):
+        config = TrialConfig(**one, n=3, trials=5, master_seed=1, test_kind=test_kind)
+        with pytest.raises(ValueError, match="at least two spheres"):
+            mc_risk(config)
+        with pytest.raises(ValueError, match="at least two spheres"):
+            sweep_n(config, [0, 3])
+
+
+def record_choices(patch):
+    """Patch geometry's draws so that the returned dict holds, for each trial seed drawn, the sphere
+    choices its stream gave: raw-word draws, reference draws and the pieces that continue a trial."""
+    drawn = {}
+    keyed, draw_words = geometry._keyed, geometry._draw_words
+
+    class Recorded:  # a generator that counts the choices drawn since it was last keyed
+        def __init__(self, rng):
+            self.rng, self.seed, self.count = rng, None, 0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def integers(self, low, high, size=None):
+            if size is not None:  # a mixture's removed index is drawn without a size
+                self.count += int(np.prod(size))
+                drawn[self.seed] = max(drawn.get(self.seed, 0), self.count)
+            return self.rng.integers(low, high, size=size)
+
+    def rekeyed(seed, rng=None):
+        rng = Recorded(keyed(0)) if rng is None else rng
+        keyed(seed, rng.rng)
+        rng.seed, rng.count = seed, 0
+        return rng
+
+    def words(pack, hypothesis, n, seeds, rng, buffers, gauss=None):
+        for seed in seeds:
+            drawn[seed] = max(drawn.get(seed, 0), n)
+        return draw_words(pack, hypothesis, n, seeds, rng, buffers, gauss)
+
+    patch.setattr(geometry, "_keyed", rekeyed)
+    patch.setattr(geometry, "_draw_words", words)
+    return drawn
+
+
+# (pack, [(size, threshold kind, fraction)]): thresholds below the empty-count range, inside it, and at
+# or above its top, at sizes gapped and from 0
+THRESHOLD_CASES = st.sampled_from([(M2, 12), (M4, 10), (M64, 90)]).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.lists(
+            st.tuples(
+                st.integers(0, case[1]),
+                st.sampled_from(["reject", "open", "accept"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda pick: pick[0],
+        ).map(sorted),
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=THRESHOLD_CASES,
+    trials=st.integers(1, 5),
+    buffer=st.sampled_from([8, 64, 200, 1 << 16]),
+    seed=st.integers(0, 2**32),
+)
+def test_count_sides_draw_only_to_the_last_size_the_range_leaves_open(case, trials, buffer, seed):
+    # after n draws a trial's empty count lies in [m - min(n, kept), m - min(n, 1)]; thresholds outside it
+    # decide every trial, so a side draws each trial up to the last size whose threshold lies inside it
+    shape, picks = case
+    pack = build_pack(**shape)
+    m = pack.count
+    sizes = [n for n, _, _ in picks]
+    config = TrialConfig(**shape, n=0, trials=trials, master_seed=seed)
+    for stream, hyp in ((0, Hypothesis.null()), (1, Hypothesis.mixture())):
+        kept = m - stream
+        k_rejects, last_open = [], None
+        for n, kind, frac in picks:
+            lo, hi = m - min(n, kept), m - min(n, 1)
+            k = {"reject": lo - 1 + frac, "open": lo + frac * (hi - lo), "accept": hi + 2 * frac}[kind]
+            k_rejects.append(k)
+            if lo <= k < hi:
+                last_open = n
+        seeds = [trial_seed(seed, t, stream) for t in range(trials)]
+        expected = [oracles.count_side_rejections(pack, hyp, seeds, n, k) for n, k in zip(sizes, k_rejects)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_DRAW_BUFFER", buffer)
+            drawn = record_choices(patch)
+            assert harness._count_rejections(config, pack, hyp, stream, sizes, k_rejects) == expected
+        assert drawn == ({} if last_open is None else dict.fromkeys(seeds, last_open)), (hyp.kind, k_rejects)
+
+
 def test_count_path_memory_is_bounded():
     # at m = 1024, n = 7808 a block of every trial would hold 800 * 7808 choices, 50 MB
     config = TrialConfig(intrinsic_dim=1, ambient_dim=2, radius=1 / 4096, n=7808, trials=800, master_seed=1)
@@ -457,20 +586,37 @@ def test_count_path_draws_trials_longer_than_the_block(m, hyp):
         assert got == [rejected] * len(sizes)
 
 
-def test_count_path_memory_on_trials_longer_than_the_block_is_bounded():
-    # a side of trials of 2**18 choices holds one block-wide piece at a time, about 1.3 MB; a word buffer
-    # sized by the trial takes it to about 2.1 MB, and a choice buffer sized by it adds 1.5 MB
+def traced_long_sides(monkeypatch, sizes):
+    """The traced peak of the null and the mixture count side of 3 trials of up to 2**18 choices at m = 64,
+    each after a one-trial warm-up, at thresholds the empty-count range leaves open, so every trial draws.
+
+    The warm-up holds the first draw in a process apart: numpy loads numpy.random on first use, and that
+    import leaves about 0.76 MB of module state traced on whichever side draws first.
+    """
+    drawn = []
+    draw_kept = geometry._draw_kept
+    monkeypatch.setattr(geometry, "_draw_kept", lambda *args: drawn.append(args[2]) or draw_kept(*args))
     pack = build_pack(**M64)
     config = TrialConfig(**M64, n=2**18, trials=3, master_seed=1)
-    for hyp, stream in ((Hypothesis.null(), 0), (Hypothesis.mixture(), 1)):
-        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [0.0])  # first-call caches
+    peaks = {}
+    for hyp, stream, k in ((Hypothesis.null(), 0, 0.0), (Hypothesis.mixture(), 1, 1.0)):
+        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [k])
+        drawn.clear()
         tracemalloc.start()
         try:
-            harness._count_rejections(config, pack, hyp, stream, [2**18], [0.0])
-            peak = tracemalloc.get_traced_memory()[1]
+            harness._count_rejections(config, pack, hyp, stream, sizes, [k] * len(sizes))
+            peaks[hyp.kind] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_800_000, hyp
+        assert drawn == [1 << 16] * config.trials, hyp  # each trial's first piece, the rest follow it
+    return peaks
+
+
+def test_count_path_memory_on_trials_longer_than_the_block_is_bounded(monkeypatch):
+    # a side of trials of 2**18 choices holds one block-wide piece at a time, about 1.3 MB; a word buffer
+    # sized by the trial takes it to about 2.1 MB, and a choice buffer sized by it adds 1.5 MB
+    for kind, peak in traced_long_sides(monkeypatch, [2**18]).items():
+        assert peak < 1_800_000, kind
 
 
 def test_count_path_holds_no_word_buffers_for_trials_longer_than_the_block(monkeypatch):
@@ -480,33 +626,15 @@ def test_count_path_holds_no_word_buffers_for_trials_longer_than_the_block(monke
         raise AssertionError("allocated word buffers for trials that read no raw words")
 
     monkeypatch.setattr(geometry, "_word_buffers", refused)
-    pack = build_pack(**M64)
-    config = TrialConfig(**M64, n=2**18, trials=3, master_seed=1)
-    for hyp, stream in ((Hypothesis.null(), 0), (Hypothesis.mixture(), 1)):
-        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [0.0])  # first-call caches
-        tracemalloc.start()
-        try:
-            harness._count_rejections(config, pack, hyp, stream, [2**16 + 1, 2**18], [0.0, 0.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_200_000, hyp
+    for kind, peak in traced_long_sides(monkeypatch, [2**16 + 1, 2**18]).items():
+        assert peak < 1_200_000, kind
 
 
-def test_a_long_count_trial_holds_one_piece_at_a_time():
+def test_a_long_count_trial_holds_one_piece_at_a_time(monkeypatch):
     # each piece is let go before the next is drawn: 0.53 MB traced at m = 64 with 3 trials of 2**18
     # choices, against 1.05 MB while the last piece stayed bound during the next one's allocation
-    pack = build_pack(**M64)
-    config = TrialConfig(**M64, n=2**18, trials=3, master_seed=1)
-    for hyp, stream in ((Hypothesis.null(), 0), (Hypothesis.mixture(), 1)):
-        harness._count_rejections(replace(config, trials=1), pack, hyp, stream, [2**18], [0.0])  # first-call caches
-        tracemalloc.start()
-        try:
-            harness._count_rejections(config, pack, hyp, stream, [2**16 + 1, 2**18], [0.0, 0.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 800_000, hyp
+    for kind, peak in traced_long_sides(monkeypatch, [2**16 + 1, 2**18]).items():
+        assert peak < 800_000, kind
 
 
 def test_sample_complexity_refuses_past_the_draw_limit_summed_over_candidates(monkeypatch):
