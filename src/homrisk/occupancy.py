@@ -2,16 +2,20 @@
 
 The inclusion-exclusion sums behind these laws alternate, and their
 terms can dwarf the result, so evaluation picks one of three routes.
-Small problems run in exact integers without alternating sums: the
-surjection counts are the heads of one forward-difference table over
-the m + 1 powers i**n, built with about m**2/2 big-integer subtractions,
-and every probability is one correctly rounded division by m**n.  P(K = 0)
-alone skips the table: its surjection count is one alternating sum of m + 1
-products over the same powers, so it costs the m + 1 powers and m + 1
-big-integer products, where the law adds the table's m**2/2 subtractions.
-From the collection threshold n >= m log m up, the series terms fall off like a
-Poisson tail of rate at most one, so a log-magnitude route with
-compensated summation loses at most a digit to cancellation; against
+Small problems run in exact integers, and every probability is the
+correctly rounded ratio C(m, k) onto(m - k) / m**n, where onto(w), the
+draws that hit each of w given bins, is the alternating sum of
+C(w, j)(w - j)**n over j.  From the collection threshold n >= m log m up,
+the series terms fall off like a Poisson tail of rate at most one, so
+each entry is summed only until two partial sums bracket one float
+(_onto_rounded), and only the powers i**n its terms read are formed: at
+(256, 1500) the law sums 1339 terms over 125 powers for the 119 entries
+its bound keeps above float underflow, and P(K = 0) 17 terms.  P(K = 0)
+takes that one sum at every size, at most m terms.  Below the threshold
+a full law builds the forward-difference table of the m + 1 powers
+instead, whose heads are the surjection counts: about m**2/2 big-integer
+subtractions, 32 896 at m = 256.  On the same threshold a log-magnitude
+route with compensated summation loses at most a digit to cancellation; against
 a 60-digit reference its P(K = 0) is still off by 3.8e-12 at
 (m, n) = (1000, 6908) and 5.7e-11 at (10000, 92104), most likely from
 lgamma log-factorials of magnitude about m log m.  Its leading term
@@ -36,13 +40,12 @@ x86) that was most of its cost: at (2000, 10000) the full state holds
 recurrence has one home, _recurrence(m, pair): its law(n) makes the work
 check, steps forward to n and returns the law by empty count.  A pair
 carries the m- and (m-1)-bin laws that the ratio test's two tails read in
-one interleaved array, so one step's ufunc calls and bookkeeping, most of
-a step's cost, serve both: at (2000, 10000) the m-bin law alone takes
-19 ms and the pair 28 ms, against 44 ms for the two laws stepped apart
-before the pair (pinned to one core of a 2-core host).  The router asks a
-one-row stepper for one n; exact_lrt_risk asks one pair for both laws
-when the router would send both to this route; the sample-complexity scan
-beside it and sweep_n keep one stepper across their increasing sizes.
+one interleaved array, so one step's three ufunc calls and bookkeeping,
+most of a step's cost, serve both, where two laws stepped apart take six
+calls a throw.  The router asks a one-row stepper for one n;
+exact_lrt_risk asks one pair for both laws when the router would send
+both to this route; the sample-complexity scan beside it and sweep_n
+keep one stepper across their increasing sizes.
 """
 from __future__ import annotations
 
@@ -55,25 +58,22 @@ import numpy as np
 
 from .geometry import SampleSet, SpherePack, assign_points
 
-# Exact-integer route bounds.  A law costs m + 1 powers of about
-# n*log2(m) bits plus the difference table's m**2/2 subtractions of such
-# integers; the corner m = 512, n = 3900 takes about 0.4 s per law on a
-# 2-core machine, and 0.13 s for P(K = 0), which needs the powers but no table.
+# Exact-integer route bounds, on integers of about n*log2(m) bits.  A law past the collection
+# threshold and P(K = 0) sum about a dozen terms an entry; at the corner (512, 3900) the law sums
+# 1286 terms over 126 powers, and P(K = 0) 13.  The most work left under the bounds is an untame
+# law just below the threshold, which builds the difference table: at (512, 3190) its 513 powers
+# of up to 28 700 bits and 131 328 subtractions.
 _EXACT_BINS = 512
 _EXACT_WORK = 2_000_000
 
 # Most m*n bin updates the throw recurrence runs for one law; a pair checks its m-bin law's m*n and
-# steps both laws.  A step costs about 2 us plus about 1 ns a band entry, about 3 us for a pair, so at
-# the limit one law took 0.02 to 1.7 s and a pair 0.04 to 1.5 s, pinned to one core of a 2-core
-# machine: (131072, 8192) 0.02 / 0.04 s, (10**5, 10**4) 0.04 / 0.05 s, (10000, 64472) 0.18 / 0.30 s,
-# (4096, 2**18) 0.34 / 0.49 s, (16384, 2**16) 0.26 / 0.46 s, (1024, 2**20) 1.7 / 1.5 s.
+# steps both laws.  A step is three ufunc calls on the band's window, for one law or a pair, so a
+# law at the limit steps n = 2**30 / m throws: 8192 at m = 131072, 2**20 at m = 1024.
 _RECURRENCE_WORK = 1 << 30
 
-# Most bins the log route serves.  Its cost is the O(m) set-up, mostly the lgamma loop
-# of _log_factorials, plus at most _SERIES_TERMS terms per entry summed, so at
-# n = m ln m + m a call at the limit takes about as long as one at _RECURRENCE_WORK:
-# m = 2**21 took 0.70 s for prob_all_occupied and 1.2 s for the full law (149
-# entries) on a 2-core machine, with a peak RSS of 190 MB.
+# Most bins the log route serves.  Its cost is the O(m) set-up, m + 1 lgamma calls in
+# _log_factorials and m + 1 logs, plus at most _SERIES_TERMS + 1 terms per entry summed:
+# at m = 2**21 and n = m ln m + m, 2**21 + 1 of each and 149 entries for the full law.
 _LOG_BINS = 1 << 21
 
 # Log magnitudes below this give math.exp(...) == 0.0 (underflow starts
@@ -102,8 +102,9 @@ def _series_is_tame(m: int, n: int) -> bool:
     within one decimal digit.  Every other empty count has a smaller
     rate, so checking the leading one covers the full law.  The error
     left grows with m instead (module docstring: 5.7e-11 at m = 10000).
+    One bin is filled by any draw, so its rate is 0.
     """
-    return math.log(m) + n * math.log1p(-1.0 / m) <= 0.0
+    return m == 1 or math.log(m) + n * math.log1p(-1.0 / m) <= 0.0
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,42 @@ def _empty_exactly_log(lf: np.ndarray, log_pow: np.ndarray, m: int, k: int) -> f
     if s <= 0.0:
         return 0.0
     return math.exp(min(peak + math.log(s), 0.0))
+
+
+def _onto_rounded(w: int, n: int, comb: int, denom: int, powers: list) -> float:
+    """comb * onto(w) / denom, correctly rounded, onto(w) = sum_j (-1)**j C(w,j)(w-j)**n for n >= 1.
+
+    onto(w) counts the draws that hit each of w given bins (Feller vol. 1,
+    IV.2).  Term j + 1 is at most lam/(j+1) times term j, lam = w(1-1/w)**n
+    (_empty_exactly_log), so from the first j with j + 1 >= lam the terms
+    do not grow, and the alternating tail from term j on lies between 0
+    and term j: the count lies between the partial sums before and after
+    term j.  Rounding is monotone and int / int rounds correctly, so once
+    both ends of that bracket give one float, that float is the entry (Ziv
+    1991).  The test cuts the ends and denominator to their top 128 bits
+    or more, rounding the bracket outward, so it costs two small
+    divisions, and it runs only once a term falls below about 2**-52 of
+    the sum.  Otherwise the loop runs to the last term and the sum is
+    exact.  powers caches i**n, formed only when a term reads it.
+    """
+    lam = w * (1.0 - 1.0 / w) ** n * (1.0 + 1e-6)  # above the true rate despite the float's rounding
+    total, c = 0, 1
+    for j in range(w):  # term w is 0**n = 0
+        i = w - j
+        if powers[i] is None:  # (2**s * odd)**n is odd**n shifted by s*n bits
+            s = (i & -i).bit_length() - 1
+            powers[i] = (i >> s) ** n << s * n
+        term = c * powers[i]
+        c = c * i // (j + 1)
+        previous, total = total, total - term if j & 1 else total + term
+        # a term above about 2**-52 of the sum moves a normal float, so only a smaller one is tested
+        if j + 1 >= lam and term.bit_length() + 52 <= previous.bit_length():
+            lo, hi = sorted((previous, total))  # both > 0: they bracket a count > 0, and differ by less
+            r = max(min(lo.bit_length(), denom.bit_length()) - 128, 0)
+            low = comb * (lo >> r) / ((denom >> r) + (r > 0))
+            if low == comb * ((hi >> r) + (r > 0)) / (denom >> r):
+                return low
+    return comb * total / denom
 
 
 def _recurrence(m: int, pair: bool = False) -> Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]:
@@ -335,12 +372,13 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
 
     The one place that checks (m, n) and picks a route.  On the exact
     route P(K = k) is C(m,k) over m**n times the surjection count onto
-    w = m-k bins, the head of [i**n for i = 0..m] after w differencing
-    passes (Feller vol. 1, IV.2).  For P(K = 0) alone (k_stop = 1) the head
-    after m passes is summed directly, sum_j (-1)**j C(m, j) (m-j)**n: m + 1
-    products over the same powers instead of the table's m**2/2 subtractions,
-    divided by m**n as before.  When the whole support is evaluated the
-    numerators must sum to m**n.
+    w = m-k bins (Feller vol. 1, IV.2).  P(K = 0) alone (k_stop = 1), and
+    every entry of a law past the collection threshold, is summed only
+    until its float is certain (_onto_rounded), and an entry whose bound
+    C(m,k)(w/m)**n lies below 2**-1090 is left 0.0 without a term.  A law
+    below the threshold reads every count off the forward-difference table
+    of [i**n for i = 0..m], the count onto w the head after w passes, and
+    its numerators must sum to m**n.
     """
     if m < 1:
         raise ValueError("need at least one bin")
@@ -354,24 +392,28 @@ def _empty_probs(m: int, n: int, k_stop: int) -> np.ndarray:
     if not ks:
         return probs
     route = _route(m, n)
-    if route == "exact":
+    if route == "exact" and (k_stop == 1 or _series_is_tame(m, n)):
+        denom, powers = m**n, [None] * (m + 1)
+        for k in ks:
+            comb = math.comb(m, k)
+            # C(m,k)(w/m)**n bounds the entry: far below 2**-1075 it rounds to 0.0
+            if comb.bit_length() + n * (math.log2(m - k) - math.log2(m)) >= -1090:
+                probs[k] = _onto_rounded(m - k, n, comb, denom, powers)
+    elif route == "exact":
         row = [0, 1]  # m >= 1 and n >= 1 here
         for i in range(2, m + 1):  # (2j)**n is j**n shifted by n bits: half the powers cost a shift
             row.append(i**n if i & 1 else row[i >> 1] << n)
-        if k_stop == 1:  # P(K = 0) alone: one alternating sum, no table
-            onto = {m: sum((-1) ** j * math.comb(m, j) * row[m - j] for j in range(m + 1))}
-        else:
-            onto = [row[0]]  # onto[w]: draws that hit each of w given bins
-            for _ in range(m):
-                row = [b - a for a, b in zip(row, row[1:])]
-                onto.append(row[0])
+        onto = [row[0]]  # onto[w]: draws that hit each of w given bins
+        for _ in range(m):
+            row = [b - a for a, b in zip(row, row[1:])]
+            onto.append(row[0])
         denom = m**n
         total = 0
         for k in ks:
             numer = math.comb(m, k) * onto[m - k]
             total += numer
             probs[k] = numer / denom
-        assert k_stop < m or total == denom
+        assert total == denom
     elif route == "log":
         if m > _LOG_BINS:
             raise ValueError(f"log route for m={m}, n={n} is above the limit of {_LOG_BINS} bins")
@@ -421,9 +463,10 @@ def empty_count_distribution(m: int, n: int) -> OccupancyDistribution:
     """Full law of the empty-bin count K after n uniform draws into m bins.
 
     Support is k in [max(0, m-n), m-1] for n >= 1 (at most n bins can be
-    hit, and at least one is) plus the point mass at m for n = 0.  On the
-    exact route the numerators must sum to m**n; the float routes instead
-    rely on the constructor's mass check.
+    hit, and at least one is) plus the point mass at m for n = 0.  Below the
+    collection threshold the exact route's numerators must sum to m**n;
+    past it each exact entry is certified alone, and the float routes rely
+    on the constructor's mass check.
     """
     return OccupancyDistribution(m=m, n=n, probs=_empty_probs(m, n, m))
 

@@ -72,6 +72,25 @@ def empty_count_numerators(m, n):
     return s[::-1]
 
 
+def empty_count_numerators_by_differences(m, n):
+    """empty_count_numerators(m, n) from the forward-difference table of i**n, i = 0..m.
+
+    Row w of the table starts with the surjection count onto w bins
+    (Feller vol. 1, IV.2), and entry k is C(m, k) times the count onto
+    m - k.  It takes m**2/2 big-integer subtractions, where the throw
+    recurrence takes m*n products, so it is the reference for m in the
+    hundreds and n in the thousands.
+    """
+    row = [i**n for i in range(m + 1)]
+    onto = [row[0]]
+    for _ in range(m):
+        row = [b - a for a, b in zip(row, row[1:])]
+        onto.append(row[0])
+    numer = [math.comb(m, k) * onto[m - k] for k in range(m + 1)]
+    assert sum(numer) == m ** n, (m, n)
+    return numer
+
+
 def full_throw_recurrence(m):
     """law(n) for n that never falls: the float throw recurrence on all m + 1 occupied levels.
 

@@ -145,6 +145,15 @@ def test_risk_exact_needs_two_spheres():
     assert "at least two spheres" in proc.stderr
 
 
+def test_one_bin_past_the_exact_work_limit(capsys):
+    # past m * n = 2 * 10**6 the router asks whether the series is tame, and one bin has rate 0;
+    # the ratio test at m = 2 asks the router about its 1-bin law, and 2 * 2**-n underflows to 0.0
+    assert cli.main("coupon --exact --m 1 --n 3000000".split()) == 0
+    assert capsys.readouterr().out == "all_occupied=1.0\nmiss_prob=0.0\n"
+    assert cli.main("risk-exact --m 2 --n 3000000".split()) == 0
+    assert capsys.readouterr().out == "m=2\nn=3000000\nk_threshold=0.0\ntype_I=0.0\ntype_II=0.0\ntotal=0.0\n"
+
+
 def test_risk_mc_lrt_output_and_determinism():
     args = (
         "risk-mc", "--d", "1", "--D", "2", "--tau", "0.15",
@@ -386,7 +395,8 @@ POINT_FILES = {
          "type_II=0.0\ntotal=0.39329869049013844"),
         # (2000, 10000) takes the banded throw recurrence: the bytes the full-state recurrence printed
         ("coupon --exact --m 2000 --n 10000", "all_occupied=1.0774367759280787e-06\nmiss_prob=0.9999989225632241"),
-        # (256, 1500) sums P(K = 0) without the difference table: the bytes the table printed
+        # (256, 1500) sums P(K = 0) only until its float is certain, 17 terms over 17 powers, where the
+        # difference table took 32 896 subtractions over 257 powers: the bytes the table printed
         ("coupon --exact --m 256 --n 1500", "all_occupied=0.48234032695234985\nmiss_prob=0.5176596730476501"),
         # the m = 64 sample-complexity scan steps the throw recurrence to its answer, 345
         ("complexity --d 1 --D 2 --tau 0.00390625 --epsilon 0.25 --n-max 2000", "n_epsilon=345"),

@@ -43,11 +43,11 @@ def test_law_matches_exact_oracle_small():
             assert abs(prob_all_occupied(m, n) - float(ref[0])) <= 1e-12, (m, n)
 
 
-def _assert_law_is_exactly_rounded(m, n):
-    numer = oracles.empty_count_numerators(m, n)
+def _assert_law_is_exactly_rounded(m, n, numerators=oracles.empty_count_numerators):
+    numer = numerators(m, n)
     denom = m**n
     law = empty_count_distribution(m, n)
-    assert law.probs.tolist() == [c / denom for c in numer], (m, n)
+    assert law.probs.tobytes() == np.array([c / denom for c in numer]).tobytes(), (m, n)
     assert prob_all_occupied(m, n) == numer[0] / denom, (m, n)
 
 
@@ -67,6 +67,61 @@ def test_exact_route_matches_integer_throw_recurrence(m, n):
 @given(m=st.integers(min_value=1, max_value=40), n=st.integers(min_value=0, max_value=150))
 def test_exact_route_matches_integer_throw_recurrence_small(m, n):
     _assert_law_is_exactly_rounded(m, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(min_value=1, max_value=200), extra=st.integers(min_value=0, max_value=200))
+def test_certified_sums_match_integer_throw_recurrence_past_the_threshold(m, extra):
+    # from the first tame size on, each entry is summed only until its float is certain; the oracle
+    # steps m*n integer products, about 0.3 s at m = 200
+    n = _first_tame_size(m) + extra
+    assert occupancy._route(m, n) == "exact" and occupancy._series_is_tame(m, n)
+    _assert_law_is_exactly_rounded(m, n)
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    # either side of the first tame size at m = 512: the table below it, the certified sums from it on,
+    # and the exact route's largest size, m * n just under its work limit
+    [(512, 3190), (512, 3191), (512, 3900)],
+)
+def test_certified_sums_match_the_difference_table_at_the_corners(m, n):
+    assert occupancy._series_is_tame(m, n) == (n > 3190) and m * n <= occupancy._EXACT_WORK
+    _assert_law_is_exactly_rounded(m, n, oracles.empty_count_numerators_by_differences)
+
+
+@pytest.mark.parametrize("m, n", [(512, 600), (100, 100), (256, 256)])
+def test_all_occupied_is_exact_where_the_series_is_not_tame(m, n):
+    # lam = m(1 - 1/m)**n is about 158, 37 and 94 here: the terms grow before they fall, and the
+    # alternating sum cancels to a value far below its largest term
+    assert not occupancy._series_is_tame(m, n)
+    assert prob_all_occupied(m, n) == oracles.empty_count_numerators(m, n)[0] / m**n
+
+
+def test_certified_sums_hold_no_difference_table():
+    # the table of m + 1 powers of about 35 000 bits traced 4.07 MB for the law at (512, 3900), and
+    # the m + 1 powers alone 2.07 MB for P(K = 0)
+    for call, limit in ((empty_count_distribution, 1_500_000), (prob_all_occupied, 500_000)):
+        tracemalloc.start()
+        try:
+            call(512, 3900)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (call.__name__, peak)
+
+
+def test_one_bin_past_the_exact_work_limit():
+    # past m * n = 2 * 10**6 the router asks whether the series is tame, and one bin, which every draw
+    # fills, has rate 0; the ratio test at m = 2 asks the router where its 1-bin deletion law goes
+    assert occupancy._route(1, 3_000_000) == "log"
+    assert prob_all_occupied(1, 3_000_000) == 1.0
+    assert empty_count_distribution(1, 2_000_001).probs.tolist() == [1.0, 0.0]
+    # two bins: K = 1 with probability 2 * 2**-n, which underflows to 0.0, and a deletion always rejects
+    n = 3_000_000
+    report = exact_lrt_risk(2, n)
+    assert report.k_threshold == 2 * 0.5**n == 0.0
+    assert (report.type_I, report.type_II, report.total) == (2.0 ** (1 - n), 0.0, 0.0)
 
 
 def test_all_occupied_frozen_values():
