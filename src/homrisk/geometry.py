@@ -4,20 +4,22 @@ The null space is a grid of m disjoint d-spheres of common radius packed
 into [0,1]^D with 4*radius spacing; each alternate deletes one sphere.
 Sampling runs on numpy's Philox counter generator keyed directly by the
 caller's seed, so draws are reproducible and independent of execution
-layout.  Batch callers re-key one generator per stream and hash their
+layout.  Each stream has a reference, the one-item public call made of
+Generator calls alone, and a batch for Monte Carlo that must match it:
+derive_seed and _derive_seeds for seeds, sample_assignments (through
+_draw_kept) and _draw_words for sphere choices, sample and _sample_batch
+for points.  Batch callers re-key one generator per stream and hash their
 stream seeds in vectorised blocks: a seed has three parts, the master,
 the trial index and the stream code, in at most four 32-bit words, so a
-stream runs at most 2**32 trials.  One raw-word draw (_draw_words) gives
-the count tests' sphere choices and the sampler's: each trial of a block
-reads its bounded draws as raw Philox words, and one vectorised map turns
-the block's words into the choices Generator.integers makes.  A batch of
-samples is drawn on it in one pass (_sample_batch); sample is a batch of
-one.  A trial the map cannot give is drawn through the reference,
-_draw_kept for choices and _sample_reference for points.
+stream runs at most 2**32 trials.  Only the batches read numpy internals:
+_draw_words reads a block's bounded draws as raw Philox words and turns
+them with one vectorised map into the choices Generator.integers makes,
+and draws a trial the map cannot give again through _draw_kept.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -38,6 +40,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # are 1 GiB, 16 times the largest pack the tests build (128**3 spheres in 4
 # dimensions).
 _MAX_PACK_FLOATS = 1 << 27
+
+# Seeds key Philox mod 2**64; outside 0..2**64-1 two seeds would share every stream.
+_MAX_SEED = _MASK64
 
 # Gaussian norm below which a point is drawn again, so that scaling it to the sphere stays finite.
 _MIN_NORM = 1e-12
@@ -322,22 +327,22 @@ def _word_buffers(hypothesis: Hypothesis, n: int, rows: int) -> tuple[np.ndarray
 
 
 def _draw_words(
-    pack: SpherePack, hypothesis: Hypothesis, n: int, seeds: Sequence[int], rng: np.random.Generator | None,
+    pack: SpherePack, hypothesis: Hypothesis, n: int, seeds: Sequence[int], rng: np.random.Generator,
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray], gauss: np.ndarray | None = None,
-) -> np.ndarray:
-    """_draw_kept for each seed, read from raw Philox words; True on the rows that need the reference.
+) -> None:
+    """_draw_kept for each seed into buffers, from _word_buffers, of at least len(seeds) rows of n choices.
 
-    buffers, from _word_buffers, hold at least len(seeds) rows of n choices.
-    Each trial re-keys rng (see _keyed; a new generator when None) and makes
-    one random_raw call, two 32-bit words an output, low half first: a
-    mixture's removed index, then the choices, none when one sphere is kept,
-    as numpy draws no word on a range of one.  Given gauss, each trial then
-    fills its row with standard_normal, which never reads the half an odd
-    word count leaves buffered, so these are sample's Gaussians.  One Lemire
-    map (_lemire) a block gives the choices and a mixture's 1-based removed
-    index, and flags a row with a word in a rejection zone, where numpy
-    would draw again.  The word order, the map and the Gaussians that follow
-    raw words are numpy internals, pinned by golden tests.
+    Each trial re-keys rng (see _keyed) and makes one random_raw call, two
+    32-bit words an output, low half first: a mixture's removed index, then
+    the choices, none when one sphere is kept, as numpy draws no word on a
+    range of one.  Given gauss, each trial then fills its row with
+    standard_normal, which never reads the half an odd word count leaves
+    buffered, so these are sample's Gaussians.  One Lemire map (_lemire) a
+    block gives the choices and a mixture's 1-based removed index, and flags
+    a row with a word in a rejection zone, where numpy would draw again;
+    such a row is drawn again through _draw_kept, and its Gaussians after
+    it.  The word order, the map and the Gaussians that follow raw words are
+    numpy internals, pinned by golden tests.
     """
     b = len(seeds)
     words, chosen, removed = buffers
@@ -345,16 +350,21 @@ def _draw_words(
     lead = int(hypothesis.kind == "mixture")
     outputs = (lead + (n if kept > 1 else 0) + 1) // 2
     for i, seed in enumerate(seeds):
-        keyed = _keyed(seed, rng)
-        words[i, :outputs] = keyed.bit_generator.random_raw(outputs)
+        _keyed(seed, rng)
+        words[i, :outputs] = rng.bit_generator.random_raw(outputs)
         if gauss is not None:
-            keyed.standard_normal(out=gauss[i])
+            rng.standard_normal(out=gauss[i])
     halves = words[:b].view("<u4")
     redo = _lemire(halves[:, lead : lead + n], kept, chosen[:b, :n])
     if lead:
         redo |= _lemire(halves[:, :1], pack.count, removed[:b])
         removed[:b] += np.uint64(1)
-    return redo
+    for i in np.flatnonzero(redo).tolist():
+        chosen[i, :n], index = _draw_kept(pack, hypothesis, n, _keyed(seeds[i], rng))
+        if lead:
+            removed[i] = index
+        if gauss is not None:
+            rng.standard_normal(out=gauss[i])
 
 
 def _in_zone(products: np.ndarray, bound: int) -> np.ndarray:
@@ -402,6 +412,23 @@ def _check_sample_size(n: int, per_point: int) -> None:
         raise ValueError(f"{n} points need {n * per_point} array values, above the limit of {_MAX_PACK_FLOATS}")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a numpy integer passes, a float, even a whole one, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _seed(value, name: str = "seed") -> int:
+    """value as a seed, refused unless an integer in 0..2**64-1: Philox keys mod 2**64, so any other would
+    share a stream."""
+    seed = _integer(value, name)
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"{name} {seed} outside 0..{_MAX_SEED}")
+    return seed
+
+
 def _keyed(seed: int, rng: np.random.Generator | None = None) -> np.random.Generator:
     """A new generator on the Philox stream keyed by seed, or rng re-keyed to it.
 
@@ -433,10 +460,10 @@ def sample_assignments(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: i
     arguments, so these choices match assign_points on the corresponding
     full SampleSet exactly (that one reports 1-based indices).  Meant for
     bulk runs where only per-sphere counts matter.  Refuses more than
-    _MAX_PACK_FLOATS choices before drawing any.
+    _MAX_PACK_FLOATS choices, and a seed as sample does, before drawing any.
     """
     _check_sample_size(n, 1)
-    chosen, removed = _draw_kept(pack, hypothesis, n, _keyed(seed))
+    chosen, removed = _draw_kept(pack, hypothesis, n, _keyed(_seed(seed)))
     return _sphere_labels(chosen, removed)
 
 
@@ -448,36 +475,41 @@ def sample(pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int) -> Sampl
     coordinates scaled to the sphere radius.  Under "mixture" the deleted
     sphere is drawn once per call, before any point.  The generator is
     Philox keyed by the seed, so equal arguments give bitwise-equal
-    output whatever else is running.  Refuses an n whose n * (d + 1 + D)
-    floats exceed _MAX_PACK_FLOATS before drawing any.
+    output whatever else is running.  This is the reference the batched
+    sampler (_sample_batch) must match: it makes Generator calls only.
+    Refuses, before drawing any, an n whose n * (d + 1 + D) floats exceed
+    _MAX_PACK_FLOATS, a seed that is not an integer (TypeError), and one
+    outside 0..2**64-1, which would key another seed's stream.
     """
-    points, removed = _sample_batch(pack, hypothesis, n, [seed], None)
-    points = points[0]
+    d = pack.intrinsic_dim
+    _check_sample_size(n, d + 1 + pack.ambient_dim)
+    _kept(pack, hypothesis)
+    seed = _seed(seed)
+    rng = _keyed(seed)
+    chosen, removed = _draw_kept(pack, hypothesis, n, rng)
+    gauss = rng.standard_normal((n, d + 1))
+    norms = np.linalg.norm(gauss, axis=1)
+    while (redo := norms < _MIN_NORM).any():  # essentially unreachable; keeps the map total
+        gauss[redo] = rng.standard_normal((int(redo.sum()), d + 1))
+        norms = np.linalg.norm(gauss, axis=1)
+    points = np.zeros((n, pack.ambient_dim))
+    _place(pack, _sphere_labels(chosen, removed), gauss, norms, points)
     points.flags.writeable = False
-    return SampleSet(
-        points=points,
-        hypothesis=hypothesis,
-        realized_removed_index=None if removed is None else int(removed[0]),
-        seed=int(seed),
-    )
+    return SampleSet(points=points, hypothesis=hypothesis, realized_removed_index=removed, seed=seed)
 
 
 def _sample_batch(
-    pack: SpherePack, hypothesis: Hypothesis, n: int, seeds: Sequence[int], rng: np.random.Generator | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """sample for each seed: the (len(seeds), n, D) points and, but under the null, the 1-based removed indices.
+    pack: SpherePack, hypothesis: Hypothesis, n: int, seeds: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    """sample's points for each seed, as one (len(seeds), n, D) array.
 
-    Each trial draws from rng re-keyed to its seed (see _keyed), or from a
-    new generator when rng is None.  After sample's checks, with its
-    messages, each call allocates its own arrays: reusing them across an
-    estimator side's batches measured no faster, while the count path keeps
-    its _word_buffers a side, as allocating them per block measured slower
-    at m = 1024.  One _draw_words call draws the batch's choices, removed indices and
-    Gaussians, three generator calls a trial; the labels, the norms and the
-    placement, with sample's arithmetic, are done once a batch.  A trial
-    _draw_words flags, or with a Gaussian norm below _MIN_NORM, is drawn
-    again by _sample_reference, so every row holds the bytes sample gives
-    its seed.
+    Each trial draws from rng re-keyed to its seed (see _keyed), after
+    sample's checks, with its messages.  One _draw_words call draws the
+    batch's choices, removed indices and Gaussians, three generator calls a
+    trial, into arrays of the call's own (reusing them across a side
+    measured no faster); the labels, the norms and the placement (_place)
+    are done once a batch.  A trial with a Gaussian norm below _MIN_NORM is
+    drawn again by sample, so every row holds the bytes sample gives its seed.
     """
     d = pack.intrinsic_dim
     _check_sample_size(n, d + 1 + pack.ambient_dim)
@@ -486,50 +518,25 @@ def _sample_batch(
     words, chosen, removed = _word_buffers(hypothesis, n, b)
     gauss = np.empty((b, n, d + 1))
     points = np.zeros((b, n, pack.ambient_dim))  # coordinates past d + 1 stay zero
-    redo = _draw_words(pack, hypothesis, n, seeds, rng, (words, chosen, removed), gauss)
+    _draw_words(pack, hypothesis, n, seeds, rng, (words, chosen, removed), gauss)
     spheres = _sphere_labels(chosen.view("<i8"), None if hypothesis.kind == "null" else removed.view("<i8"))
     norms = np.linalg.norm(gauss, axis=-1)
     short = norms < _MIN_NORM
-    redo |= short.any(axis=1)
     norms[short] = 1.0  # those trials are drawn again below; keeps the division finite
-    # sample's centers + radius * gauss / norms, operand for operand; take gathers faster than indexing
-    place = points[..., : d + 1]
+    _place(pack, spheres, gauss, norms, points)
+    for i in np.flatnonzero(short.any(axis=1)).tolist():
+        points[i] = sample(pack, hypothesis, n, seeds[i]).points
+    return points
+
+
+def _place(pack: SpherePack, spheres: np.ndarray, gauss: np.ndarray, norms: np.ndarray, points: np.ndarray) -> None:
+    """Write centers[spheres] + radius * gauss / norms, a point a row of gauss, into the first d + 1
+    coordinates of points, in place: the one placement of sample and _sample_batch.  take gathers
+    faster than indexing."""
+    place = points[..., : pack.intrinsic_dim + 1]
     np.multiply(gauss, pack.radius, out=place)
     place /= norms[..., None]
-    place += np.take(pack.centers[:, : d + 1], spheres, axis=0)
-    for i in np.flatnonzero(redo).tolist():
-        drawn = _sample_reference(pack, hypothesis, n, seeds[i], rng)
-        points[i] = drawn.points
-        if hypothesis.kind == "mixture":
-            removed[i] = drawn.realized_removed_index
-    return points, None if hypothesis.kind == "null" else removed[:, 0]
-
-
-def _sample_reference(
-    pack: SpherePack, hypothesis: Hypothesis, n: int, seed: int, rng: np.random.Generator | None
-) -> SampleSet:
-    """sample drawn through Generator calls, from rng re-keyed to seed, or from a new generator when rng is
-    None: the reference _sample_batch must match, and falls back to."""
-    d = pack.intrinsic_dim
-    _check_sample_size(n, d + 1 + pack.ambient_dim)
-    rng = _keyed(seed, rng)
-    chosen, removed = _draw_kept(pack, hypothesis, n, rng)
-    spheres = _sphere_labels(chosen, removed)
-    gauss = rng.standard_normal((n, d + 1))
-    norms = np.linalg.norm(gauss, axis=1)
-    while np.any(norms < _MIN_NORM):  # essentially unreachable; keeps the map total
-        redo = norms < _MIN_NORM
-        gauss[redo] = rng.standard_normal((int(redo.sum()), d + 1))
-        norms = np.linalg.norm(gauss, axis=1)
-    points = np.zeros((n, pack.ambient_dim))
-    points[:, : d + 1] = pack.centers[spheres, : d + 1] + pack.radius * gauss / norms[:, None]
-    points.flags.writeable = False
-    return SampleSet(
-        points=points,
-        hypothesis=hypothesis,
-        realized_removed_index=removed,
-        seed=int(seed),
-    )
+    place += np.take(pack.centers[:, : pack.intrinsic_dim + 1], spheres, axis=0)
 
 
 def assign_points(pack: SpherePack, points: np.ndarray) -> np.ndarray:

@@ -15,7 +15,10 @@ threshold outside the range answers its size as every trial or none
 without a draw, so from the collection threshold on, where the ratio
 test's t < 1, a mixture side draws nothing.
 Count-test trials and estimator batches share one raw-word draw,
-geometry._draw_words: a block of count-test trials, of at most
+geometry._draw_words, which draws a trial its map cannot give again
+itself: only these Monte Carlo batches read numpy internals, while
+geometry.sample and sample_assignments, the references they match, make
+Generator calls alone.  A block of count-test trials, of at most
 _DRAW_BUFFER choices, takes one call, and a trial longer than the block
 is drawn through geometry._draw_kept in block-wide pieces, on a side that
 holds no word buffers.  A side refuses more than _MAX_DRAWS choices, and
@@ -35,14 +38,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import astuple, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import geometry, homology, lrt, occupancy
-from .geometry import Hypothesis, SpherePack, derive_seed
+from .geometry import Hypothesis, SpherePack, _integer, derive_seed
 from .homology import homology_estimator  # noqa: F401  kept as a harness name: bench/tracer.py rebinds it here
 
 TEST_KINDS = ("lrt", "occupancy", "estimator")
@@ -57,9 +59,6 @@ _SEED_BLOCK = 1024
 # Trial indices are hashed as uint32 lanes; past this they would wrap and reuse substreams.
 _MAX_TRIALS = 1 << 32
 
-# Master seeds are hashed mod 2**64; outside 0..2**64-1 two seeds would share every substream.
-_MAX_SEED = (1 << 64) - 1
-
 # Most sphere choices one block of count-test draws holds: 2**16 int64s, 0.5 MB.
 _DRAW_BUFFER = 1 << 16
 
@@ -68,9 +67,10 @@ _DRAW_BUFFER = 1 << 16
 # whose rows draw afresh.
 _MAX_DRAWS = 1 << 32
 
-# Most points an estimator side draws, counted as its sphere choices are: a point costs 0.9 to 1.5 us
-# on a d = 2 pack in 3-space and about 0.3 us on a pack of circles (2-core host, with batches drawn in
-# one pass), so a side at the limit runs about a minute at most, where _MAX_DRAWS allowed over an hour.
+# Most points an estimator side draws, counted as its sphere choices are: 128 times fewer than
+# _MAX_DRAWS, since a point costs its d + 1 Gaussians, its placement and its share of its batch's
+# component count (spacings on circles, else sweep or cell candidates), where a count-test choice
+# costs half a raw word and one bincount entry.
 _MAX_POINTS = 1 << 25
 
 # Most points one batch of estimator trials holds, 4096: a batch's grouped component count holds
@@ -109,7 +109,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _integer(self.n, "sample size"))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master seed"))
+        object.__setattr__(self, "master_seed", geometry._seed(self.master_seed, "master seed"))
         if self.test_kind not in TEST_KINDS:
             raise ValueError(f"test_kind must be one of {TEST_KINDS}, got {self.test_kind!r}")
         if self.trials < 1:
@@ -118,8 +118,6 @@ class TrialConfig:
             raise ValueError(f"trials {self.trials} above the limit of {_MAX_TRIALS} substreams per side")
         if self.n < 0:
             raise ValueError("sample size must be >= 0")
-        if not 0 <= self.master_seed <= _MAX_SEED:
-            raise ValueError(f"master seed {self.master_seed} outside 0..{_MAX_SEED}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
@@ -161,14 +159,6 @@ class SweepRow:
 class RateFit(NamedTuple):
     slope: float
     intercept: float
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; a numpy integer passes, a float, even a whole one, is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def trial_seed(master_seed: int, trial_index: int, stream_code: int) -> int:
@@ -251,7 +241,7 @@ def _count_rejections(
     of a longer draw are a draw of n, so one draw is the trial at every
     size.  Rows of trials fill a block of at most _DRAW_BUFFER choices,
     drawn by one geometry._draw_words call into word buffers allocated once
-    a side; a trial it flags is drawn again through _draw_kept.  A trial
+    a side, which draws a trial its map flags again itself.  A trial
     longer than the block is drawn through _draw_kept and then
     Generator.integers, in block-wide pieces that continue its stream, so
     its side allocates no word buffers and holds one piece at a time.  Row
@@ -299,9 +289,8 @@ def _count_rejections(
             elif top > width:  # a trial longer than the block, alone in it, is drawn through the reference whole
                 draws = geometry._draw_kept(pack, hypothesis, span, geometry._keyed(keys[0], rng))[0][None]
             else:
+                geometry._draw_words(pack, hypothesis, span, keys, rng, buffers)
                 draws = chosen[:block, :span]
-                for i in np.flatnonzero(geometry._draw_words(pack, hypothesis, span, keys, rng, buffers)).tolist():
-                    draws[i], _ = geometry._draw_kept(pack, hypothesis, span, geometry._keyed(keys[i], rng))
                 draws += offsets[:block]
             # tally up to each size in this piece, recording it, then up to the piece's end
             while tallied < last or (j < len(sizes) and sizes[j] == tallied):
@@ -335,7 +324,7 @@ def _estimator_rejections(config: TrialConfig, pack: SpherePack, hypothesis: Hyp
     rows = min(config.trials, max(1, _BATCH_POINTS // max(n, 1)))
     rejections = 0
     for keys, rng in _trial_blocks(config.master_seed, config.trials, stream, rows):
-        points, _ = geometry._sample_batch(pack, hypothesis, n, keys, rng)
+        points = geometry._sample_batch(pack, hypothesis, n, keys, rng)
         counts = homology._estimator_counts(pack, points, scale)
         rejections += int(np.count_nonzero(counts < pack.count))
     return rejections

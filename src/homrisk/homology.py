@@ -63,8 +63,8 @@ _BLOCK_FLOATS = 1 << 17
 
 # Most candidate pairs the sweep may test in one group (see _sweep), counted before any is tested,
 # also when the count then goes over cells; a batch of groups may hold more in all.  betti0_linkage
-# holds no edge list, so this bounds its work: about 1.2 s at the 18 ns a candidate of a
-# 40 000-point cloud whose candidates are rarely edges (one core of a 2-core VM).  The cells test
+# holds no edge list, so this bounds its work: 2**26 candidate tests, 4096 blocks of 2**14 pairs,
+# each tested by about five ufunc calls an axis over its pairs (see _near_pairs).  The cells test
 # only pairs under 3 sides, at most 2.13 scale, apart on axis 0: at most 7 times the sweep's
 # candidates plus 3 a point, as slabs of width scale show.  The bench's 4000-point cloud has 3.0e6
 # sweep candidates, of which the cells test 1.7e5, and rips' default point budget caps its own at
@@ -83,10 +83,9 @@ _GRID_SPAN = 1 << 20
 # past one block of them, for the component count to go over cells.  Each offset searches every
 # occupied cell, at most one a point, so the cells' cost grows with offsets times points, and the
 # trials of a batch fill cells of their own.  In 3-space (62 offsets) batches of the d = 2 pack,
-# tau = 1/8 and 1/16, cross over near 47 candidates a point: the sweep took 5.6 ms against the
-# cells' 7.8 ms at 33, 7.3 against 7.3 at 47 and 8.6 against 6.3 at 62 (4000 points a batch, one
-# core of a 2-core VM); in the plane (12 offsets) near 12.  A cloud of one group fills its cells
-# and crosses earlier, so one block stays the floor.
+# tau = 1/8 and 1/16, cross over near 47 candidates a point, 0.75 an offset: at 4000 points a batch
+# the sweep was faster at 33, even at 47 and slower at 62; in the plane (12 offsets) they cross
+# near 12.  A cloud of one group fills its cells and crosses earlier, so one block stays the floor.
 _CANDIDATES_PER_OFFSET = 0.75
 
 # Most simplices of one level that may be listed, or walked to count the level above (see

@@ -461,6 +461,20 @@ def test_readme_library_tour_prints_its_recorded_values(capsys):
     )
 
 
+def test_source_states_costs_in_work_not_host_timings():
+    # a limit's comment gives the work it bounds (points, candidates, ufunc calls); a time measured on
+    # one host goes stale and belongs with the measurements, not in the source
+    timing = re.compile(r"[0-9] ?(ns|µs|us|ms)\b|core (host|VM)")
+    src = README.parent / "src" / "homrisk"
+    quoted = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if timing.search(line)
+    ]
+    assert quoted == []
+
+
 def test_homology_on_coordinates_past_the_float_range_apart_writes_no_warning(tmp_path):
     # the second coordinates differ by more than the largest float; the distance test overflows quietly
     path = tmp_path / "far.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -231,9 +232,8 @@ def test_sample_is_deterministic_per_seed():
     # one generator re-keyed to each seed in turn, as the estimator's trials draw, gives the same bytes
     rng = geometry._keyed(0)
     for seed, want in ((42, a), (43, c), (42, a)):
-        points, removed = geometry._sample_batch(pack, Hypothesis.mixture(), 250, [seed], rng)
+        points = geometry._sample_batch(pack, Hypothesis.mixture(), 250, [seed], rng)
         assert points[0].tobytes() == want.points.tobytes()
-        assert int(removed[0]) == want.realized_removed_index
 
 
 SAMPLER_PACKS = [build_pack(1, 2, 1 / 16), build_pack(1, 3, 0.15), build_pack(2, 3, 1 / 8), build_pack(3, 4, 1 / 8)]
@@ -243,55 +243,54 @@ def sampler_hypotheses(pack):
     return [Hypothesis.null(), Hypothesis.mixture(), Hypothesis.alternate(1), Hypothesis.alternate(pack.count)]
 
 
-def assert_reference_rows(pack, hyp, n, seeds, points, removed):
+def assert_reference_rows(pack, hyp, n, seeds, points):
     for i, seed in enumerate(seeds):
-        want = geometry._sample_reference(pack, hyp, n, seed, None)
-        assert points[i].tobytes() == want.points.tobytes(), (pack.count, hyp, n, i)
-        assert (None if removed is None else int(removed[i])) == want.realized_removed_index
+        assert points[i].tobytes() == sample(pack, hyp, n, seed).points.tobytes(), (pack.count, hyp, n, i)
 
 
 @pytest.mark.parametrize("pack", SAMPLER_PACKS, ids=["d1D2", "d1D3-m2", "d2D3", "d3D4"])
 def test_batched_sampler_gives_the_reference_bytes(pack):
     # the m = 2 pack keeps one sphere under a deletion, where numpy draws no word for the choices
     seeds = [derive_seed(2013, t, 1) for t in range(7)]
+    rng = geometry._keyed(0)  # one generator, re-keyed across the batches
     for hyp, n in itertools.product(sampler_hypotheses(pack), (0, 1, 2, 7, 200)):
-        for rng in (None, geometry._keyed(0)):  # new generators, or one re-keyed across the batches
-            for block in (seeds[:1], seeds, seeds[2:5]):  # batches of one and of odd sizes
-                points, removed = geometry._sample_batch(pack, hyp, n, block, rng)
-                assert points.shape == (len(block), n, pack.ambient_dim)
-                assert_reference_rows(pack, hyp, n, block, points, removed)
-        drawn = sample(pack, hyp, n, seeds[3])
-        want = geometry._sample_reference(pack, hyp, n, seeds[3], None)
-        assert drawn.points.tobytes() == want.points.tobytes()
-        assert drawn.realized_removed_index == want.realized_removed_index
+        for block in (seeds[:1], seeds, seeds[2:5]):  # batches of one and of odd sizes
+            points = geometry._sample_batch(pack, hyp, n, block, rng)
+            assert points.shape == (len(block), n, pack.ambient_dim)
+            assert_reference_rows(pack, hyp, n, block, points)
 
 
 @pytest.mark.parametrize("cause", ["zone", "norm"])
 def test_batched_sampler_draws_flagged_trials_again_through_the_reference(monkeypatch, cause):
-    # flagging words numpy accepted, or raising the norm floor to 1.5, under which a third to two thirds
-    # of the Gaussians fall, sends trials to the reference, whose bytes they then hold
+    # flagging words numpy accepted sends trials to _draw_kept, and raising the norm floor to 1.5, under
+    # which a third to two thirds of the Gaussians fall, sends them to sample; either way they then hold
+    # sample's bytes
     redrawn = []
-    reference = geometry._sample_reference
-
-    def recorded(pack, hyp, n, seed, rng):
-        redrawn.append(seed)
-        return reference(pack, hyp, n, seed, rng)
-
-    monkeypatch.setattr(geometry, "_sample_reference", recorded)
     if cause == "zone":
+        draw_kept = geometry._draw_kept
+
+        def recorded(pack, hyp, n, rng):
+            redrawn.append(rng.bit_generator.state["state"]["key"][0])  # the seed it was just keyed to
+            return draw_kept(pack, hyp, n, rng)
+
+        monkeypatch.setattr(geometry, "_draw_kept", recorded)
         monkeypatch.setattr(geometry, "_in_zone", lambda products, bound: np.arange(len(products)) % 3 == 1)
     else:
+        reference = geometry.sample
+
+        def recorded(pack, hyp, n, seed):
+            redrawn.append(seed)
+            return reference(pack, hyp, n, seed)
+
+        monkeypatch.setattr(geometry, "sample", recorded)
         monkeypatch.setattr(geometry, "_MIN_NORM", 1.5)
     seeds = [derive_seed(7, t, 0) for t in range(7)]
     for pack in SAMPLER_PACKS:
         for hyp in sampler_hypotheses(pack):
             redrawn.clear()
-            points, removed = geometry._sample_batch(pack, hyp, 40, seeds, geometry._keyed(0))
-            if cause == "zone":
-                assert redrawn == seeds[1::3]
-            else:
-                assert redrawn == seeds
-            assert_reference_rows(pack, hyp, 40, seeds, points, removed)
+            points = geometry._sample_batch(pack, hyp, 40, seeds, geometry._keyed(0))
+            assert redrawn == (seeds[1::3] if cause == "zone" else seeds)
+            assert_reference_rows(pack, hyp, 40, seeds, points)  # sample reads no zone, and draws under the same floor
 
 
 def test_batched_sampler_redraws_a_removed_index_in_the_rejection_zone():
@@ -302,8 +301,8 @@ def test_batched_sampler_redraws_a_removed_index_in_the_rejection_zone():
     seeds = [derive_seed(15522, t, 1) for t in range(3)]
     word = int(geometry._keyed(seeds[0]).bit_generator.random_raw()) & 0xFFFFFFFF
     assert pack.count == m and word * m % 2**32 < 2**32 % m
-    points, removed = geometry._sample_batch(pack, Hypothesis.mixture(), 5, seeds, None)
-    assert_reference_rows(pack, Hypothesis.mixture(), 5, seeds, points, removed)
+    points = geometry._sample_batch(pack, Hypothesis.mixture(), 5, seeds, geometry._keyed(0))
+    assert_reference_rows(pack, Hypothesis.mixture(), 5, seeds, points)
 
 
 def test_sampler_refuses_before_any_draw_or_allocation(monkeypatch):
@@ -329,9 +328,62 @@ def test_sampler_refuses_before_any_draw_or_allocation(monkeypatch):
     for pack, hyp, n, message in cases:
         with pytest.raises(ValueError, match=message):
             sample(pack, hyp, n, seed=1)
-        for rng in (None, keyed):
-            with pytest.raises(ValueError, match=message):
-                geometry._sample_batch(pack, hyp, n, [1, 2, 3], rng)
+        with pytest.raises(ValueError, match=message):
+            geometry._sample_batch(pack, hyp, n, [1, 2, 3], keyed)
+
+
+def test_public_draws_refuse_a_seed_that_would_alias_another_before_any_draw(monkeypatch):
+    # Philox is keyed mod 2**64, so 5.5 used to draw seed 5's points, -1 those of 2**64 - 1 and
+    # 2**64 + 3 those of 3
+    pack = build_pack(1, 2, 1 / 16)
+    top = sample(pack, Hypothesis.mixture(), 20, 2**64 - 1)
+    assert top.seed == 2**64 - 1 and top.n == 20
+    assert sample_assignments(pack, Hypothesis.mixture(), 20, 2**64 - 1).tolist() == (
+        assign_points(pack, top.points) - 1
+    ).tolist()
+    assert sample(pack, Hypothesis.null(), 3, np.uint64(7)).seed == 7
+
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before the seed was checked")
+
+    monkeypatch.setattr(geometry, "_keyed", refused)
+    for call in (sample, sample_assignments):
+        for seed in (1.5, 5.0, "3"):
+            with pytest.raises(TypeError, match=rf"^seed must be an integer, got {seed!r}$"):
+                call(pack, Hypothesis.null(), 10, seed)
+        for seed in (-1, 2**64, 2**64 + 3):
+            with pytest.raises(ValueError, match=rf"^seed {seed} outside 0\.\.{2**64 - 1}$"):
+                call(pack, Hypothesis.null(), 10, seed)
+
+
+# (pack shape, hypothesis, n, seed): sha256 prefixes of sample's points and of sample_assignments' '<i8'
+# choices, and sample's removed index; the last seed puts the mixture's removed-index word in numpy's
+# rejection zone
+PUBLIC_DRAW_GOLDENS = [
+    ((1, 2, 1 / 16), Hypothesis.null(), 200, 3, "73b3564398c8ca80", "450ded8e94661c7e", None),
+    ((2, 3, 1 / 8), Hypothesis.mixture(), 250, 42, "4705e3f77a7ee8b0", "45a3f3fc075af725", 2),
+    ((3, 4, 1 / 8), Hypothesis.alternate(2), 77, 2**64 - 1, "05158c5cf9f57da3", "945ac4a07c12278c", 2),
+    ((1, 2, 1 / 16), Hypothesis.mixture(), 5, derive_seed(2013, 3, 1), "f2053fc66a078e94", "3b17b7fc8e8891c3", 2),
+    ((1, 2, 1 / (4 * 30036 - 2)), Hypothesis.mixture(), 5, derive_seed(15522, 0, 1), "fca56492bbbeaddd",
+     "7c4820ccc74493fa", 9998),
+]
+
+
+def test_public_draws_read_no_numpy_internals(monkeypatch):
+    # sample and sample_assignments are the references the batches match: they make Generator calls
+    # only, so they keep their bytes with the raw-word draw and its map refused
+    def refused(*args, **kwargs):
+        raise AssertionError("a public draw read raw Philox words or numpy's bounded map")
+
+    for name in ("_draw_words", "_lemire", "_in_zone"):
+        monkeypatch.setattr(geometry, name, refused)
+    for shape, hyp, n, seed, points, choices, removed in PUBLIC_DRAW_GOLDENS:
+        pack = build_pack(*shape)
+        drawn = sample(pack, hyp, n, seed)
+        assert hashlib.sha256(drawn.points.tobytes()).hexdigest()[:16] == points, (shape, hyp)
+        assert drawn.realized_removed_index == removed
+        chosen = sample_assignments(pack, hyp, n, seed).astype("<i8")
+        assert hashlib.sha256(chosen.tobytes()).hexdigest()[:16] == choices, (shape, hyp)
 
 
 def test_raw_words_then_gaussians_golden():

@@ -525,13 +525,15 @@ def test_estimator_point_limit_refuses_before_any_draw(monkeypatch):
     assert drawn == [50, 50]
 
 
-@pytest.mark.parametrize("flagged", ["every", "half"])
+@pytest.mark.parametrize("flagged", ["every", "half", "third"])
 def test_count_path_redraws_flagged_trials_through_the_reference(monkeypatch, flagged):
-    # a flagged trial is drawn again through _draw_kept, and a split trial is
-    # drawn through it whole; flagging words numpy accepted changes no count
+    # _draw_words draws a flagged trial again through _draw_kept, and a split
+    # trial is drawn through it whole; flagging words numpy accepted changes no count
     coin = np.random.default_rng(0)
 
     def in_zone(products, bound):
+        if flagged == "third":
+            return np.arange(len(products)) % 3 == 1
         return np.ones(len(products), bool) if flagged == "every" else coin.random(len(products)) < 0.5
 
     monkeypatch.setattr(geometry, "_in_zone", in_zone)
